@@ -144,18 +144,27 @@ def _make_result(
 def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
     """Largest L with mean per-target SNR >= the dB threshold: a closed form.
 
-    SNR_L = rho_1 / L, so max_uavs = floor(rho_1 / threshold). A tiny
-    relative guard absorbs float rounding at exact boundaries (a budget
-    exactly equal to the threshold yields 1, not 0).
+    SNR_L = rho_1 / L, so max_uavs = floor(rho_1 / threshold), up to the
+    relative slack the predicate allows (a budget exactly equal to the
+    threshold yields 1, not 0). The answer is taken from the predicate
+    itself, so the post-hoc check agrees with it at any budget.
     """
     mean_one = mean_snr_at(query, 1)
-    threshold = db_to_linear(query.spec.snr_threshold_db)
-    ratio = mean_one / threshold
-    max_uavs = int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
+    floor = db_to_linear(query.spec.snr_threshold_db) * (1.0 - _REL_SLACK)
 
     def satisfied(num_uavs: int) -> bool:
-        return mean_one / num_uavs >= threshold * (1.0 - _REL_SLACK)
+        return mean_one / num_uavs >= floor
 
+    # The float floor of the bound is off by at most one below 2**53 UAVs
+    # and by up to half a float spacing above, so bracket it with doubling
+    # steps (low satisfied or 0, high violated) and bisect.
+    guess = math.floor(mean_one / floor)
+    low, high, step = guess, guess + 1, 1
+    while low >= 1 and not satisfied(low):
+        low, high, step = max(low - step, 0), low, 2 * step
+    while satisfied(high):
+        low, high, step = high, high + step, 2 * step
+    max_uavs = max_satisfying(satisfied, low, high)
     return _make_result(query, mean_one, max_uavs, "snr", satisfied)
 
 

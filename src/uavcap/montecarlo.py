@@ -193,22 +193,21 @@ def mc_detection_rates(
     var_eff = float(n_sym)
 
     def llr(summed: np.ndarray) -> np.ndarray:
-        return (2.0 * amp_eff * summed.real - amp_eff * amp_eff) / var_eff
+        return (2.0 * amp_eff * summed - amp_eff * amp_eff) / var_eff
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
         scale = math.sqrt(0.5)
-        noise0 = scale * (
+
+        def noise_sum() -> np.ndarray:
+            # The LLR reads only the real part of the coherent noise sum.
+            # The imaginary block is still drawn after the real one, which
+            # keeps the stream of the complex-noise model and its estimates.
+            real = rng.standard_normal((count, n_sym))
             rng.standard_normal((count, n_sym))
-            + 1j * rng.standard_normal((count, n_sym))
-        )
-        noise1 = scale * (
-            rng.standard_normal((count, n_sym))
-            + 1j * rng.standard_normal((count, n_sym))
-        )
-        false_alarms = int(np.count_nonzero(llr(noise0.sum(axis=1)) > gamma))
-        detections = int(
-            np.count_nonzero(llr(amp_eff + noise1.sum(axis=1)) > gamma)
-        )
+            return (scale * real).sum(axis=1)
+
+        false_alarms = int(np.count_nonzero(llr(noise_sum()) > gamma))
+        detections = int(np.count_nonzero(llr(amp_eff + noise_sum()) > gamma))
         return float(detections), float(false_alarms)
 
     parts = _run_chunks(plan, TAG_DETECTION, kernel, workers, salt)
@@ -242,13 +241,13 @@ def mc_integration_energy(
     noise_var = params.noise_power_mw
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
+        # Sum the real and imaginary noise blocks apart and go complex only
+        # on the per-trial sums: complex (count, n_sym) temporaries outgrow
+        # the allocator's mmap threshold and page-fault on every chunk.
         scale = math.sqrt(noise_var / 2.0)
-        noise = scale * (
-            rng.standard_normal((count, n_sym))
-            + 1j * rng.standard_normal((count, n_sym))
-        )
-        summed = n_sym * amp + noise.sum(axis=1)
-        energy = np.abs(summed) ** 2
+        real = (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
+        imag = (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
+        energy = np.abs(n_sym * amp + (real + 1j * imag)) ** 2
         return float(np.sum(energy)), float(np.dot(energy, energy))
 
     parts = _run_chunks(plan, TAG_ENERGY, kernel, workers, salt)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, stats
 
 from .arrays import UpaGeometry, effective_channel_gain
 from .capacity import (
@@ -73,6 +72,10 @@ def _quantitative(
 
 
 def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
+    # scipy is imported here and in _sampler_checks only, so that importing
+    # the package (and every command but `validate`) does not pay for it.
+    from scipy import integrate
+
     region = config.region()
 
     def mass(mode: str) -> float:
@@ -122,6 +125,8 @@ def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
+    from scipy import stats
+
     region = config.region()
     n = max(min(config.trials, 100_000), 1)
     rng = substream(config.seed, TAG_POSITIONS, 0, salt=101)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,19 @@ def test_capacity_under_snr_scales_with_symbols() -> None:
     base = capacity_under_snr(_query()).max_uavs
     doubled = capacity_under_snr(_query(total_symbols=28)).max_uavs
     assert doubled == 2 * base
+
+
+def test_capacity_under_snr_floor_at_large_budgets() -> None:
+    # Budgets of about 1e9 to 1e12 UAVs, where a ratio within the predicate's
+    # 1e-9 slack below an integer used to fail the post-hoc check; the last
+    # budgets lie past 2**53 UAVs, where floats no longer resolve one UAV.
+    threshold = db_to_linear(DetectionSpec().snr_threshold_db)
+    per_symbol = mean_snr_at(_query(total_symbols=1), 1) / threshold
+    for total_symbols in [*np.geomspace(1e9, 1e12, 300) / per_symbol, 1e17, 1e20]:
+        query = _query(total_symbols=int(total_symbols))
+        ratio = mean_snr_at(query, 1) / threshold
+        result = capacity_under_snr(query)
+        assert abs(result.max_uavs - ratio) <= 2e-9 * ratio + 1.0
 
 
 def test_pd_capacity_reference_values() -> None:

@@ -106,3 +106,13 @@ def test_parser_lists_all_commands() -> None:
         "validate",
     ):
         assert name in text
+
+
+def test_frames_budget_past_1e9_uavs_gives_rows(capsys) -> None:
+    code = main(
+        ["capacity-vs-frames", "--set", "sweep_start=70000000",
+         "--set", "sweep_stop=70000000"]
+    )
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert rows[-1].startswith("70000000,")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from uavcap.detection import (
     DEFAULT_Q_COEFFS,
@@ -59,6 +59,16 @@ def test_q_inv_reference_and_oracle() -> None:
     assert q_inv(0.05) == pytest.approx(XI_AT_PFA_005, rel=1e-14)
     for p in (1e-6, 0.01, 0.05, 0.3, 0.5, 0.9, 0.999):
         assert q_inv(p) == pytest.approx(_bisect_q_inv(p), abs=1e-10)
+
+
+def test_q_inv_matches_ndtri() -> None:
+    # scipy's ndtri (Cephes) computes the same quantile independently.
+    probs = np.concatenate(
+        [np.geomspace(1e-300, 0.5, 600, endpoint=False), np.linspace(0.5, 0.99, 200)]
+    )
+    for p in probs:
+        expected = -float(special.ndtri(p))
+        assert abs(q_inv(float(p)) - expected) <= 1e-15 * abs(expected), p
 
 
 @settings(max_examples=100, deadline=None)

@@ -172,3 +172,35 @@ def test_workers_validation(
 ) -> None:
     with pytest.raises(ValueError, match="workers"):
         mc_mean_snr(reference_link, reference_region, TrialPlan(10, SEED), workers=0)
+
+
+# Estimates of the kernels in their complex-array form, which the float-array
+# form must reproduce draw for draw: (cpi_symbols, seed, pd mean, pd half-width,
+# pfa mean, pfa half-width, energy mean, energy half-width) at 10_000 trials
+# (two full chunks and a partial one), snr 2, pfa 0.05, energy at 1 km.
+KERNEL_PINS = [
+    (1, 424242, 0.6277, 0.012452015769595043, 0.0502, 0.005624514241610801, 7.794551325753482e-10, 1.756566795126318e-11),
+    (1, 7, 0.6375, 0.012382581057244268, 0.0508, 0.005656239632188671, 7.892718771481069e-10, 1.7847984963456946e-11),
+    (3, 424242, 0.6425, 0.012345016327047997, 0.0508, 0.005656239632188671, 4.658504962257905e-09, 7.990399721372163e-11),
+    (3, 7, 0.6442, 0.012331911850546306, 0.0503, 0.005629817168346493, 4.661324090400875e-09, 8.224811370905943e-11),
+    (8, 424242, 0.6419, 0.012349601045810406, 0.0493, 0.005576507442750613, 2.750450903425887e-08, 3.2858425946863765e-10),
+    (8, 7, 0.6316, 0.01242504444811656, 0.0504, 0.005635113927343609, 2.7525207130790106e-08, 3.3522420326190754e-10),
+    (16, 424242, 0.6415, 0.012352645837169891, 0.0521, 0.005724231679714119, 1.0318054621466909e-07, 9.132837304572766e-10),
+    (16, 7, 0.6323, 0.012420111235120298, 0.0504, 0.005635113927343609, 1.0319258207509628e-07, 9.39939558125091e-10),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pin", KERNEL_PINS, ids=lambda pin: f"cpi{pin[0]}-seed{pin[1]}")
+def test_kernels_reproduce_pinned_estimates(pin: tuple, workers: int) -> None:
+    cpi, seed, *expected = pin
+    plan = TrialPlan(10_000, seed)
+    link = replace(RadarLinkParams(), cpi_symbols=cpi)
+    amplitude = math.sqrt(path_gain_squared(link, 1.0))
+    pd_est, pfa_est = mc_detection_rates(2.0, 0.05, cpi, plan, workers)
+    energy = mc_integration_energy(link, amplitude, plan, workers)
+    for estimate, mean, half_width in zip(
+        (pd_est, pfa_est, energy), expected[0::2], expected[1::2]
+    ):
+        assert estimate.mean == mean
+        assert estimate.half_width == pytest.approx(half_width, rel=1e-15, abs=0.0)
