@@ -138,6 +138,19 @@ def sample_positions(
     return ranges, elevations, azimuths
 
 
+def sample_ranges(
+    region: SensingRegion, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Draw count i.i.d. ranges from the radial marginal (km).
+
+    Consumes exactly count uniforms from rng: for statistics that read the
+    range alone, it skips the elevation and azimuth draws of sample_positions.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return _ranges_from_unit(region, rng.random(count))
+
+
 def sample_position(region: SensingRegion, rng: np.random.Generator) -> Position:
     """Draw a single position (same transform and draw order as sample_positions)."""
     ranges, elevations, azimuths = sample_positions(region, rng, 1)

@@ -1,10 +1,18 @@
 """Deterministic Monte Carlo oracles for the closed-form link/detector math.
 
 Reproducibility contract: a run is fully determined by (master_seed, tag,
-trial count). Trials are processed in fixed chunks of _CHUNK; chunk i uses
-the counter-based substream Philox(master_seed, tag).jumped(i), and partial
-sums are combined with math.fsum in chunk order. Worker count only spreads
-chunks across threads, so results are bit-identical for any `workers`.
+salt, trial count). Trials are processed in fixed chunks of _CHUNK. Philox
+is counter-based, so chunk i needs no per-chunk seeding: its substream is
+the Philox key derived once from SeedSequence(master_seed, spawn_key=(tag,
+salt)) and cached, started at counter i << 128. That is draw for draw the
+stream of Philox(SeedSequence(...)).jumped(i). Partial sums are combined
+with math.fsum in chunk order. Worker count only spreads chunks across
+threads, so results are bit-identical for any `workers`.
+
+Each kernel draws only the samples its statistic reads: mean SNR one
+uniform per trial (the range), detection one real normal block per
+hypothesis (the LLR reads only the real part of the noise sum), and the
+integration energy both the real and the imaginary noise blocks.
 
 Estimates carry two-sided confidence half-widths (normal approximation;
 binomial standard error for rates).
@@ -15,12 +23,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .detection import lrt_threshold, q_inv
-from .geometry import SensingRegion, sample_positions
+from .geometry import SensingRegion, sample_ranges
 from .link import RadarLinkParams, per_uav_snr
 
 _CHUNK = 4096
@@ -70,6 +79,16 @@ def confidence_z(confidence: float) -> float:
     return q_inv((1.0 - confidence) / 2.0)
 
 
+@lru_cache(maxsize=64)
+def _philox_key(master_seed: int, tag: int, salt: int) -> np.ndarray:
+    """The 128-bit Philox key that SeedSequence seeding would give (read-only)."""
+    key = np.random.SeedSequence(master_seed, spawn_key=(tag, salt)).generate_state(
+        2, np.uint64
+    )
+    key.setflags(write=False)
+    return key
+
+
 def substream(
     master_seed: int, tag: int, index: int, salt: int = 0
 ) -> np.random.Generator:
@@ -77,11 +96,14 @@ def substream(
 
     salt separates repeated uses of one estimator under the same seed
     (e.g. one sweep row per salt) without touching the chunk counter.
+    Draw for draw equal to
+    Generator(Philox(SeedSequence(master_seed, spawn_key=(tag, salt))).jumped(index)):
+    a jump adds index to the third 64-bit word of the 256-bit counter.
     """
-    root = np.random.Philox(
-        np.random.SeedSequence(master_seed, spawn_key=(tag, salt))
+    bits = np.random.Philox(
+        counter=index << 128, key=_philox_key(master_seed, tag, salt)
     )
-    return np.random.Generator(root.jumped(index))
+    return np.random.Generator(bits)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -154,7 +176,7 @@ def mc_mean_snr(
     snr_at_unit = per_uav_snr(params, 1.0)
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        ranges, _, _ = sample_positions(region, rng, count)
+        ranges = sample_ranges(region, rng, count)
         values = snr_at_unit / ranges**4
         return float(np.sum(values)), float(np.dot(values, values))
 
@@ -172,11 +194,13 @@ def mc_detection_rates(
 ) -> tuple[EmpiricalEstimate, EmpiricalEstimate]:
     """Empirical (PD, PFA) of the LLR test at post-integration SNR `snr`.
 
-    Per trial, cpi_symbols unit-variance complex noise symbols are drawn
-    under each hypothesis, coherently summed with the known per-symbol
+    Per trial, cpi_symbols unit-variance complex noise symbols are
+    coherently summed under each hypothesis with the known per-symbol
     amplitude sqrt(snr / cpi_symbols), and the LLR is compared against
-    lrt_threshold(snr, pfa). The H0 block is drawn before the H1 block in
-    every chunk, which pins the draw order.
+    lrt_threshold(snr, pfa). The LLR reads only the real part of the sum,
+    so only the real noise parts (variance 1/2 each) are drawn. The H0
+    block is drawn before the H1 block in every chunk, which pins the draw
+    order.
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be > 0, got {snr}")
@@ -199,12 +223,7 @@ def mc_detection_rates(
         scale = math.sqrt(0.5)
 
         def noise_sum() -> np.ndarray:
-            # The LLR reads only the real part of the coherent noise sum.
-            # The imaginary block is still drawn after the real one, which
-            # keeps the stream of the complex-noise model and its estimates.
-            real = rng.standard_normal((count, n_sym))
-            rng.standard_normal((count, n_sym))
-            return (scale * real).sum(axis=1)
+            return (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
 
         false_alarms = int(np.count_nonzero(llr(noise_sum()) > gamma))
         detections = int(np.count_nonzero(llr(amp_eff + noise_sum()) > gamma))

@@ -320,16 +320,18 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
     return results
 
 
-def _q_approx_check() -> CheckResult:
+def _q_approx_check(config: ScenarioConfig) -> list[CheckResult]:
     grid = np.linspace(0.0, 4.0, 4001)
     worst = max(abs(q_exp_approx(float(x)) - q(float(x))) for x in grid)
-    return _quantitative(
-        "q_surrogate_max_abs_error", worst, 0.0, 5e-3,
-        "4001-point grid on [0, 4]",
-    )
+    return [
+        _quantitative(
+            "q_surrogate_max_abs_error", worst, 0.0, 5e-3,
+            "4001-point grid on [0, 4]",
+        )
+    ]
 
 
-def _solver_agreement_check(config: ScenarioConfig) -> CheckResult:
+def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
     rng = substream(config.seed, _TAG_SCENARIOS, 0)
     mismatches = 0
     worst = 0
@@ -353,13 +355,15 @@ def _solver_agreement_check(config: ScenarioConfig) -> CheckResult:
         worst = max(worst, abs(fast - slow))
         if fast != slow:
             mismatches += 1
-    return _quantitative(
-        "pd_capacity_bisect_vs_scan", float(mismatches), 0.0, 0.0,
-        f"50 random scenarios, worst gap {worst} UAVs",
-    )
+    return [
+        _quantitative(
+            "pd_capacity_bisect_vs_scan", float(mismatches), 0.0, 0.0,
+            f"50 random scenarios, worst gap {worst} UAVs",
+        )
+    ]
 
 
-def _surrogate_capacity_check(config: ScenarioConfig) -> CheckResult:
+def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
     worst_expanded = 0
     worst_fixed = 0
     for radius in (0.9, 1.05, 1.2):
@@ -385,11 +389,13 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> CheckResult:
                     ).max_uavs
                     worst_expanded = max(worst_expanded, abs(expanded - exact))
                     worst_fixed = max(worst_fixed, abs(fixed - exact))
-    return _quantitative(
-        "surrogate_capacity_gap", float(worst_expanded), 0.0, 1.0,
-        f"reference neighborhood grid; fixed-variant gap {worst_fixed} UAVs "
-        "(measured only, no bound)",
-    )
+    return [
+        _quantitative(
+            "surrogate_capacity_gap", float(worst_expanded), 0.0, 1.0,
+            f"reference neighborhood grid; fixed-variant gap {worst_fixed} UAVs "
+            "(measured only, no bound)",
+        )
+    ]
 
 
 def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
@@ -493,7 +499,7 @@ def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
     return results
 
 
-def _beamforming_check() -> list[CheckResult]:
+def _beamforming_check(config: ScenarioConfig) -> list[CheckResult]:
     upa = UpaGeometry(24, 16)
     results = []
     for k in (1, 4):
@@ -514,19 +520,39 @@ def _beamforming_check() -> list[CheckResult]:
     return results
 
 
+# Check groups in report order.
+_CHECK_GROUPS = (
+    _density_checks,
+    _sampler_checks,
+    _snr_checks,
+    _detection_checks,
+    _integration_checks,
+    _q_approx_check,
+    _solver_agreement_check,
+    _surrogate_capacity_check,
+    _trend_checks,
+    _beamforming_check,
+)
+
+
 def run_validation(config: ScenarioConfig) -> list[CheckResult]:
-    """Run every cross-check under one scenario; order is fixed."""
+    """Run every cross-check under one scenario; order is fixed.
+
+    A group that raises (say, a config whose geometry overflows a float)
+    becomes one ``fail`` row named after the group, with the exception as
+    its detail, and the remaining groups still run.
+    """
     results: list[CheckResult] = []
-    results.extend(_density_checks(config))
-    results.extend(_sampler_checks(config))
-    results.extend(_snr_checks(config))
-    results.extend(_detection_checks(config))
-    results.extend(_integration_checks(config))
-    results.append(_q_approx_check())
-    results.append(_solver_agreement_check(config))
-    results.append(_surrogate_capacity_check(config))
-    results.extend(_trend_checks(config))
-    results.extend(_beamforming_check())
+    for group in _CHECK_GROUPS:
+        try:
+            results.extend(group(config))
+        except Exception as exc:
+            results.append(
+                CheckResult(
+                    group.__name__.lstrip("_"), "fail",
+                    detail=f"{type(exc).__name__}: {exc}",
+                )
+            )
     return results
 
 

@@ -1,10 +1,13 @@
+import csv
 from pathlib import Path
 
 import pytest
 
 import uavcap.cli
+import uavcap.validation
 from uavcap.cli import build_parser, main
-from uavcap.validation import CheckResult
+from uavcap.config import parse_config
+from uavcap.validation import CheckResult, render_validation_csv
 
 
 def test_sweep_to_stdout(capsys: pytest.CaptureFixture[str]) -> None:
@@ -116,3 +119,34 @@ def test_frames_budget_past_1e9_uavs_gives_rows(capsys) -> None:
     rows = capsys.readouterr().out.splitlines()
     assert code == 0
     assert rows[-1].startswith("70000000,")
+
+
+@pytest.mark.parametrize(
+    "override, error",
+    [("radius_ratio=1e200", "OverflowError"), ("radius_km=1e-200", "ZeroDivisionError")],
+)
+def test_validate_reports_a_raising_group_as_a_fail_row(
+    override: str, error: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(["validate", "--trials", "1000", "--set", override])
+    out = capsys.readouterr().out
+    table = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    rows = {row[0]: row for row in table[1:]}
+    assert code == 1
+    assert rows["density_checks"][1] == "fail"
+    assert rows["density_checks"][5].startswith(f"{error}: ")
+    # The groups after the one that raised still run.
+    assert rows["beamforming_gain_k4"][1] == "pass"
+
+
+def test_validate_reference_rows_match_the_groups_run_directly(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    assert main(["validate", "--trials", "2000"]) == 0
+    config = parse_config("", {"trials": "2000"})
+    direct = [
+        result
+        for group in uavcap.validation._CHECK_GROUPS
+        for result in group(config)
+    ]
+    assert capsys.readouterr().out == render_validation_csv(config, direct)
