@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported only where arrays are built, so that the closed-form
+# commands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,8 @@ def steering_vector(
     upa: UpaGeometry, azimuth: float, elevation: float
 ) -> np.ndarray:
     """Unit-norm array response toward (azimuth, elevation), shape (size,)."""
+    import numpy as np
+
     sin_e = math.sin(azimuth) * math.sin(elevation)
     sin_a = math.sin(azimuth) * math.cos(elevation)
     phase = 2.0j * math.pi * upa.element_spacing

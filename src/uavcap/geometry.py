@@ -21,8 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported only where arrays are built, so that the closed-form
+# commands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSITY_MODES = ("normalized", "unnormalized")
 
@@ -118,6 +122,8 @@ def _ranges_from_unit(region: SensingRegion, u: np.ndarray) -> np.ndarray:
 
 def _elevations_from_unit(region: SensingRegion, u: np.ndarray) -> np.ndarray:
     # Inverse CDF of the elevation marginal: P(theta <= t) = sin(t)/sin(Theta).
+    import numpy as np
+
     return np.arcsin(u * math.sin(region.max_elevation))
 
 

@@ -3,9 +3,9 @@
 Reproducibility contract: a run is fully determined by (master_seed, tag,
 salt, trial count). Trials are processed in fixed chunks of _CHUNK. Philox
 is counter-based, so chunk i needs no per-chunk seeding: its substream is
-the Philox key derived once from SeedSequence(master_seed, spawn_key=(tag,
-salt)) and cached, started at counter i << 128. That is draw for draw the
-stream of Philox(SeedSequence(...)).jumped(i). Partial sums are combined
+Philox seeded by SeedSequence(master_seed, spawn_key=(tag, salt)), built
+once and cached, and started at counter i << 128. That is draw for draw
+the stream of Philox(SeedSequence(...)).jumped(i). Partial sums are combined
 with math.fsum in chunk order. Worker count only spreads chunks across
 threads, so results are bit-identical for any `workers`.
 
@@ -21,16 +21,18 @@ binomial standard error for rates).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .detection import lrt_threshold, q_inv
 from .geometry import SensingRegion, sample_ranges
 from .link import RadarLinkParams, per_uav_snr
+
+# numpy is imported only where arrays are built, so that the closed-form
+# commands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 4096
 
@@ -80,13 +82,18 @@ def confidence_z(confidence: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _philox_key(master_seed: int, tag: int, salt: int) -> np.ndarray:
-    """The 128-bit Philox key that SeedSequence seeding would give (read-only)."""
-    key = np.random.SeedSequence(master_seed, spawn_key=(tag, salt)).generate_state(
-        2, np.uint64
-    )
-    key.setflags(write=False)
-    return key
+def _seed_sequence(
+    master_seed: int, tag: int, salt: int
+) -> np.random.SeedSequence:
+    """SeedSequence(master_seed, spawn_key=(tag, salt)), built once per triple.
+
+    Seeding Philox with it skips the OS-entropy SeedSequence that a bare
+    Philox(key=...) builds and discards. Every substream of the triple
+    shares it: seeding only reads its state.
+    """
+    import numpy as np
+
+    return np.random.SeedSequence(master_seed, spawn_key=(tag, salt))
 
 
 def substream(
@@ -100,8 +107,10 @@ def substream(
     Generator(Philox(SeedSequence(master_seed, spawn_key=(tag, salt))).jumped(index)):
     a jump adds index to the third 64-bit word of the 256-bit counter.
     """
+    import numpy as np
+
     bits = np.random.Philox(
-        counter=index << 128, key=_philox_key(master_seed, tag, salt)
+        _seed_sequence(master_seed, tag, salt), counter=index << 128
     )
     return np.random.Generator(bits)
 
@@ -130,6 +139,9 @@ def _run_chunks(
     items = list(enumerate(sizes))
     if workers == 1:
         return [one(item) for item in items]
+    # Imported here so that only a multi-worker run pays for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, items))
 
@@ -171,6 +183,8 @@ def mc_mean_snr(
     "normalized" closed form; the "unnormalized" one differs by exactly
     the sin(max_elevation) factor.
     """
+    import numpy as np
+
     # per_uav_snr(d) = C / d^4; evaluate the d = 1 km constant once through
     # the real link-budget route so a defect there shifts this estimate.
     snr_at_unit = per_uav_snr(params, 1.0)
@@ -202,6 +216,8 @@ def mc_detection_rates(
     block is drawn before the H1 block in every chunk, which pins the draw
     order.
     """
+    import numpy as np
+
     if not snr > 0.0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if not 0.0 < pfa < 1.0:
@@ -249,6 +265,8 @@ def mc_integration_energy(
     Expected value: N^2 * A^2 + N * sigma^2, i.e. signal energy grows as
     N^2 while noise only as N.
     """
+    import numpy as np
+
     if path_amplitude < 0.0:
         raise ValueError(f"path_amplitude must be >= 0, got {path_amplitude}")
     n_sym = params.cpi_symbols

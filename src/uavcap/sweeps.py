@@ -145,26 +145,32 @@ def _uav_count_rows(
         if config.snr_mode == "unnormalized"
         else 1.0
     )
-    ordinal = 0
-    for frames in config.frame_curves:
-        query = config.query(frames=frames)
-        mean_one = mean_snr_at(query, 1)
-        rho = 2.0 * mean_one
-        mc_base = None
-        if with_mc:
-            # One independent substream per curve; the closed-form 1/L split
-            # then scales the estimate row by row.
-            estimate = mc_mean_snr(
-                config.link(), config.region(), config.plan(), config.workers,
-                salt=ordinal,
+    for ordinal, frames in enumerate(config.frame_curves):
+        try:
+            query = config.query(frames=frames)
+            mean_one = mean_snr_at(query, 1)
+            rho = 2.0 * mean_one
+            mc_base = None
+            if with_mc:
+                # One independent substream per curve; the closed-form 1/L
+                # split then scales the estimate row by row.
+                estimate = mc_mean_snr(
+                    config.link(), config.region(), config.plan(),
+                    config.workers, salt=ordinal,
+                )
+                ratio = (
+                    (query.total_symbols * config.uavs_per_symbol)
+                    / (config.cpi_symbols * 1.0)
+                )
+                mc_base = (estimate.mean * ratio * mode_factor,
+                           estimate.half_width * ratio * mode_factor)
+        except _ROW_ERRORS as exc:
+            # A curve whose mean SNR cannot be computed fails every row.
+            rows.extend(
+                SweepRow(swept_value=int(value), frames=frames, error=str(exc))
+                for value in counts
             )
-            ratio = (
-                (query.total_symbols * config.uavs_per_symbol)
-                / (config.cpi_symbols * 1.0)
-            )
-            mc_base = (estimate.mean * ratio * mode_factor,
-                       estimate.half_width * ratio * mode_factor)
-        ordinal += 1
+            continue
         for value in counts:
             count = int(value)
             try:

@@ -17,8 +17,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .arrays import UpaGeometry, effective_channel_gain
 from .capacity import (
     capacity_under_pd_bisect,
@@ -72,8 +70,9 @@ def _quantitative(
 
 
 def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
-    # scipy is imported here and in _sampler_checks only, so that importing
-    # the package (and every command but `validate`) does not pay for it.
+    # scipy is imported here and in _sampler_checks only, and numpy only in
+    # the groups that build arrays, so that importing the package (and every
+    # command but `validate`) does not pay for them.
     from scipy import integrate
 
     region = config.region()
@@ -125,6 +124,7 @@ def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
+    import numpy as np
     from scipy import stats
 
     region = config.region()
@@ -246,6 +246,8 @@ def _detection_checks(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
+    import numpy as np
+
     counts = (1, 3, 8)
     if config.trials < 1:
         results = [
@@ -321,6 +323,8 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _q_approx_check(config: ScenarioConfig) -> list[CheckResult]:
+    import numpy as np
+
     grid = np.linspace(0.0, 4.0, 4001)
     worst = max(abs(q_exp_approx(float(x)) - q(float(x))) for x in grid)
     return [
@@ -399,6 +403,8 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
+    import numpy as np
+
     results = []
 
     # Capacity never increases with radius, at several power levels.

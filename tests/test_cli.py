@@ -139,6 +139,28 @@ def test_validate_reports_a_raising_group_as_a_fail_row(
     assert rows["beamforming_gain_k4"][1] == "pass"
 
 
+@pytest.mark.parametrize("command", ["snr-vs-uavs", "pd-vs-uavs"])
+@pytest.mark.parametrize(
+    "override, message",
+    [("radius_ratio=1e200", "out of range"), ("radius_km=1e-200", "division by zero")],
+)
+def test_uav_count_sweep_turns_a_failing_curve_into_error_rows(
+    command: str, override: str, message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(
+        [command, "--trials", "1000", "--set", override, "--set", "sweep_stop=3"]
+    )
+    out = capsys.readouterr().out
+    table = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert code == 0
+    # Every curve (frames 1, 3 and 5) fails every row, and the command ends.
+    assert [row[:2] for row in table[1:]] == [
+        [frames, count] for frames in "135" for count in "123"
+    ]
+    for row in table[1:]:
+        assert row[-1].startswith("error: ") and message in row[-1], row
+
+
 def test_validate_reference_rows_match_the_groups_run_directly(
     capsys: pytest.CaptureFixture[str],
 ) -> None:

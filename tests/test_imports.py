@@ -1,17 +1,21 @@
-"""scipy is loaded by `validate` alone: importing the package and running a
-sweep must not pay for it. Checked in fresh interpreters."""
+"""scipy is loaded by `validate` alone, and numpy only by the commands that
+build arrays (`validate` and `snr-vs-uavs` with trials): importing the
+package and running a closed-form command must not pay for either. Checked
+in fresh interpreters."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import uavcap
 
 SRC = str(Path(uavcap.__file__).resolve().parent.parent)
 
-# Runs `python -m uavcap.cli <argv>` in-process, then reports whether scipy
-# was imported on the way.
+# Runs `python -m uavcap.cli <argv>` in-process, then reports its exit code
+# and which of numpy and scipy were imported on the way.
 RUN_CLI = """
 import runpy, sys
 sys.argv = ["uavcap"] + sys.argv[1:]
@@ -19,8 +23,17 @@ try:
     runpy.run_module("uavcap.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print("exit", code, "scipy" in sys.modules, file=sys.stderr)
+print("exit", code, *[m for m in ("numpy", "scipy") if m in sys.modules], file=sys.stderr)
 """
+
+# The commands that need only scalar math.
+CLOSED_FORM_COMMANDS = [
+    ("pd-vs-uavs",),
+    ("capacity-vs-radius",),
+    ("capacity-vs-frames",),
+    ("capacity-vs-power",),
+    ("snr-vs-uavs", "--trials", "0"),
+]
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -31,18 +44,46 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _run_cli(*argv: str) -> tuple[subprocess.CompletedProcess, int, set[str]]:
+    """(process, the command's exit code, the heavy modules it loaded)."""
+    proc = _python("-c", RUN_CLI, *argv)
+    _, code, *loaded = proc.stderr.splitlines()[-1].split()
+    return proc, int(code), set(loaded)
+
+
 def test_import_leaves_scipy_out() -> None:
     proc = _python("-c", "import sys, uavcap; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
 
 
+def test_import_leaves_numpy_out() -> None:
+    proc = _python("-c", "import sys, uavcap; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_sweep_command_leaves_scipy_out() -> None:
-    proc = _python("-c", RUN_CLI, "capacity-vs-radius")
-    assert proc.stderr.splitlines()[-1] == "exit 0 False", proc.stderr
+    proc, code, loaded = _run_cli("capacity-vs-radius")
+    assert code == 0 and "scipy" not in loaded, proc.stderr
     assert "radius_km,snr_capacity" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=" ".join)
+def test_closed_form_command_leaves_numpy_out(argv: tuple[str, ...]) -> None:
+    proc, code, loaded = _run_cli(*argv)
+    assert (code, loaded) == (0, set()), proc.stderr
+    assert proc.stdout.startswith("# uavcap sweep\n")
+
+
+def test_sampled_sweep_loads_numpy_and_passes() -> None:
+    proc, code, loaded = _run_cli(
+        "snr-vs-uavs", "--trials", "2000", "--set", "sweep_stop=3"
+    )
+    assert (code, loaded) == (0, {"numpy"}), proc.stderr
+    assert "mc_snr_db" in proc.stdout
+
+
 def test_validate_loads_scipy_and_passes() -> None:
-    proc = _python("-c", RUN_CLI, "validate")
-    assert proc.stderr.splitlines()[-1] == "exit 0 True", proc.stderr
+    proc, code, loaded = _run_cli("validate")
+    assert (code, loaded) == (0, {"numpy", "scipy"}), proc.stderr
