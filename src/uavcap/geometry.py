@@ -115,9 +115,16 @@ def position_pdf(
 
 
 def _ranges_from_unit(region: SensingRegion, u: np.ndarray) -> np.ndarray:
-    # Inverse CDF of the radial marginal: P(r <= x) prop. to x^3 - (R/eps)^3.
+    # Inverse CDF of the radial marginal: P(r <= x) prop. to x^3 - (R/eps)^3,
+    # r = R ((1 + u (eps^3 - 1)) / eps^3)^(1/3). Overwrites u with the ranges
+    # and returns it, so callers pass an array of their own.
     e3 = region.radius_ratio**3
-    return region.max_range * ((1.0 + u * (e3 - 1.0)) / e3) ** (1.0 / 3.0)
+    u *= e3 - 1.0
+    u += 1.0
+    u /= e3
+    u **= 1.0 / 3.0
+    u *= region.max_range
+    return u
 
 
 def _elevations_from_unit(region: SensingRegion, u: np.ndarray) -> np.ndarray:
@@ -138,7 +145,7 @@ def sample_positions(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     u = rng.random((count, 3))
-    ranges = _ranges_from_unit(region, u[:, 0])
+    ranges = _ranges_from_unit(region, u[:, 0].copy())
     elevations = _elevations_from_unit(region, u[:, 1])
     azimuths = math.pi * u[:, 2]
     return ranges, elevations, azimuths

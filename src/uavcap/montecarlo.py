@@ -5,14 +5,21 @@ salt, trial count). Trials are processed in fixed chunks of _CHUNK. Philox
 is counter-based, so chunk i needs no per-chunk seeding: its substream is
 Philox seeded by SeedSequence(master_seed, spawn_key=(tag, salt)), built
 once and cached, and started at counter i << 128. That is draw for draw
-the stream of Philox(SeedSequence(...)).jumped(i). Partial sums are combined
-with math.fsum in chunk order. Worker count only spreads chunks across
-threads, so results are bit-identical for any `workers`.
+the stream of Philox(SeedSequence(...)).jumped(i). Each worker thread
+builds one generator per estimator call and re-seats it on every further
+chunk it runs: counter i << 128 and an empty buffer, which is the state a
+freshly built substream(master_seed, tag, i, salt) starts from. Partial
+sums are combined with math.fsum in chunk order. Worker count only
+spreads chunks across threads, so results are bit-identical for any
+`workers`.
 
 Each kernel draws only the samples its statistic reads: mean SNR one
 uniform per trial (the range), detection one real normal block per
 hypothesis (the LLR reads only the real part of the noise sum), and the
-integration energy both the real and the imaginary noise blocks.
+integration energy both the real and the imaginary noise blocks. The
+cpi_symbols noise symbols of a trial are summed left to right, one column
+at a time (_row_sums), so the summation order is fixed here rather than by
+numpy's reduction.
 
 Estimates carry two-sided confidence half-widths (normal approximation;
 binomial standard error for rates).
@@ -21,6 +28,7 @@ binomial standard error for rates).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -127,14 +135,28 @@ def _run_chunks(
     workers: int,
     salt: int = 0,
 ) -> list[tuple[float, ...]]:
-    """Apply kernel to every chunk; returns per-chunk tuples in chunk order."""
+    """Apply kernel to every chunk; returns per-chunk tuples in chunk order.
+
+    Each thread builds one generator with substream for the first chunk it
+    runs and re-seats it for every later one, which costs a fraction of a
+    build and gives the chunk's substream draw for draw.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = _chunk_sizes(plan.trials)
+    seats = threading.local()
 
     def one(item: tuple[int, int]) -> tuple[float, ...]:
         index, count = item
-        return kernel(substream(plan.master_seed, tag, index, salt), count)
+        seat = getattr(seats, "seat", None)
+        if seat is None:
+            rng = substream(plan.master_seed, tag, index, salt)
+            key = tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
+            seats.seat = rng, key
+        else:
+            rng, key = seat
+            rng.bit_generator.state = _philox_state(key, index)
+        return kernel(rng, count)
 
     items = list(enumerate(sizes))
     if workers == 1:
@@ -144,6 +166,45 @@ def _run_chunks(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, items))
+
+
+def _philox_state(key: tuple[int, int], index: int) -> dict:
+    """Philox state at counter index << 128 with an empty output buffer.
+
+    That is the state substream(..., index, ...) starts from, so a generator
+    re-seated with it draws what a freshly built one would. The counter is
+    four 64-bit words, low word first; chunk indices fit in the third.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, index, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Per-row sums of a 2-D block, added left to right one column at a time.
+
+    The order is defined here: block.sum(axis=1) agrees bit for bit only up
+    to 7 columns (numpy adds 8 or more pairwise), and runs a per-row loop
+    that takes several times as long on the narrow blocks the kernels sum.
+    """
+    total = block[:, 0].copy()
+    for column in range(1, block.shape[1]):
+        total += block[:, column]
+    return total
+
+
+def _noise_sums(
+    rng: np.random.Generator, count: int, n_sym: int, scale: float
+) -> np.ndarray:
+    """Per-trial sums of one (count, n_sym) normal block scaled by `scale`."""
+    block = rng.standard_normal((count, n_sym))
+    block *= scale
+    return _row_sums(block)
 
 
 def _reduce_mean(
@@ -181,17 +242,27 @@ def mc_mean_snr(
     Samples positions from the region's normalized density and averages
     per_uav_snr over the sampled ranges, so this estimates the
     "normalized" closed form; the "unnormalized" one differs by exactly
-    the sin(max_elevation) factor.
+    the sin(max_elevation) factor. Raises ZeroDivisionError or
+    OverflowError, before drawing, when the per-trial SNR at the inner
+    radius (the largest one) is not a finite float.
     """
     import numpy as np
 
     # per_uav_snr(d) = C / d^4; evaluate the d = 1 km constant once through
     # the real link-budget route so a defect there shifts this estimate.
     snr_at_unit = per_uav_snr(params, 1.0)
+    # Checked on Python floats, which raise where numpy would warn and
+    # carry inf or nan into the estimate.
+    if not math.isfinite(snr_at_unit / region.inner_range**4):
+        raise OverflowError(
+            f"mean SNR: the per-trial SNR at the inner range "
+            f"{region.inner_range:g} km is not finite"
+        )
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        ranges = sample_ranges(region, rng, count)
-        values = snr_at_unit / ranges**4
+        values = sample_ranges(region, rng, count)
+        values **= 4
+        np.divide(snr_at_unit, values, out=values)
         return float(np.sum(values)), float(np.dot(values, values))
 
     parts = _run_chunks(plan, TAG_POSITIONS, kernel, workers, salt)
@@ -231,18 +302,20 @@ def mc_detection_rates(
     # - A_eff^2/sigma_eff^2 has mean +-snr and variance 2 snr.
     amp_eff = n_sym * math.sqrt(snr / n_sym)
     var_eff = float(n_sym)
+    scale = math.sqrt(0.5)
 
-    def llr(summed: np.ndarray) -> np.ndarray:
-        return (2.0 * amp_eff * summed - amp_eff * amp_eff) / var_eff
+    def llr_hits(summed: np.ndarray) -> int:
+        # (2 A_eff summed - A_eff^2) / sigma_eff^2 > gamma, in place.
+        summed *= 2.0 * amp_eff
+        summed -= amp_eff * amp_eff
+        summed /= var_eff
+        return int(np.count_nonzero(summed > gamma))
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        scale = math.sqrt(0.5)
-
-        def noise_sum() -> np.ndarray:
-            return (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
-
-        false_alarms = int(np.count_nonzero(llr(noise_sum()) > gamma))
-        detections = int(np.count_nonzero(llr(amp_eff + noise_sum()) > gamma))
+        false_alarms = llr_hits(_noise_sums(rng, count, n_sym, scale))
+        received = _noise_sums(rng, count, n_sym, scale)
+        received += amp_eff
+        detections = llr_hits(received)
         return float(detections), float(false_alarms)
 
     parts = _run_chunks(plan, TAG_DETECTION, kernel, workers, salt)
@@ -275,15 +348,14 @@ def mc_integration_energy(
         * math.sqrt(params.tx_power_mw / params.uavs_per_symbol)
         * path_amplitude
     )
-    noise_var = params.noise_power_mw
+    scale = math.sqrt(params.noise_power_mw / 2.0)
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
         # Sum the real and imaginary noise blocks apart and go complex only
         # on the per-trial sums: complex (count, n_sym) temporaries outgrow
         # the allocator's mmap threshold and page-fault on every chunk.
-        scale = math.sqrt(noise_var / 2.0)
-        real = (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
-        imag = (scale * rng.standard_normal((count, n_sym))).sum(axis=1)
+        real = _noise_sums(rng, count, n_sym, scale)
+        imag = _noise_sums(rng, count, n_sym, scale)
         energy = np.abs(n_sym * amp + (real + 1j * imag)) ** 2
         return float(np.sum(energy)), float(np.dot(energy, energy))
 

@@ -26,7 +26,13 @@ from .capacity import (
 )
 from .config import ScenarioConfig, with_overrides
 from .detection import joint_pd, pd_single, q, q_exp_approx, q_inv
-from .geometry import Position, position_pdf, sample_positions
+from .geometry import (
+    Position,
+    SensingRegion,
+    expected_inverse_quartic_range,
+    position_pdf,
+    sample_positions,
+)
 from .link import linear_to_db, mean_single_uav_snr, path_gain_squared
 from .montecarlo import (
     EmpiricalEstimate,
@@ -88,7 +94,7 @@ def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
         )
         return value
 
-    results = [
+    return [
         _quantitative(
             "density_mass_normalized", mass("normalized"), 1.0, 1e-6,
             "quadrature over the support",
@@ -100,27 +106,37 @@ def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
             1e-6,
             "integrates to sin(max_elevation), not 1",
         ),
+        _quartic_moment_check(region),
     ]
+
+
+def _quartic_moment_check(region: SensingRegion) -> CheckResult:
+    from scipy import integrate
 
     e3 = region.radius_ratio**3
     radial = lambda r: 3.0 * e3 * r * r / (region.max_range**3 * (e3 - 1.0))
+
+    # Over u = ln r, radial(r) r^-4 dr is radial(r) r^-3 du, which is smooth
+    # across the whole range. epsabs = 0 keeps the tolerance relative: the
+    # default absolute one (1.5e-8) exceeds the moment itself at large radii.
+    def integrand(u: float) -> float:
+        r = math.exp(u)
+        return radial(r) / r**3
+
     moment, _ = integrate.quad(
-        lambda r: radial(r) / r**4, region.inner_range, region.max_range
+        integrand,
+        math.log(region.inner_range),
+        math.log(region.max_range),
+        epsabs=0.0,
+        epsrel=1e-12,
     )
-    closed = 3.0 * region.radius_ratio**3 / (
-        region.max_range**4
-        * (region.radius_ratio**2 + region.radius_ratio + 1.0)
+    return _quantitative(
+        "inverse_quartic_range_moment",
+        expected_inverse_quartic_range(region),
+        moment,
+        1e-9 * abs(moment),
+        "closed form vs quadrature of the radial marginal",
     )
-    results.append(
-        _quantitative(
-            "inverse_quartic_range_moment",
-            closed,
-            moment,
-            1e-9 * abs(moment),
-            "closed form vs quadrature of the radial marginal",
-        )
-    )
-    return results
 
 
 def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
@@ -128,13 +144,19 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     from scipy import stats
 
     region = config.region()
+    inner3 = region.inner_range**3
+    outer3 = region.max_range**3
+    if not outer3 - inner3 > 0.0:
+        # The range probe divides by this difference.
+        raise ZeroDivisionError(
+            f"sampler_ks_range: outer minus inner range cubed is "
+            f"{outer3 - inner3:g} km^3, not positive"
+        )
     n = max(min(config.trials, 100_000), 1)
     rng = substream(config.seed, TAG_POSITIONS, 0, salt=101)
     ranges, elevations, azimuths = sample_positions(region, rng, n)
     critical = float(stats.kstwobign.isf(0.01)) / math.sqrt(n)
 
-    inner3 = region.inner_range**3
-    outer3 = region.max_range**3
     probes = {
         "sampler_ks_range": (ranges**3 - inner3) / (outer3 - inner3),
         "sampler_ks_elevation": np.sin(elevations) / math.sin(region.max_elevation),

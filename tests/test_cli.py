@@ -129,12 +129,19 @@ def test_validate_reports_a_raising_group_as_a_fail_row(
     override: str, error: str, capsys: pytest.CaptureFixture[str]
 ) -> None:
     code = main(["validate", "--trials", "1000", "--set", override])
-    out = capsys.readouterr().out
-    table = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
     rows = {row[0]: row for row in table[1:]}
     assert code == 1
     assert rows["density_checks"][1] == "fail"
     assert rows["density_checks"][5].startswith(f"{error}: ")
+    # The range sampler and the sampled mean SNR raise before they draw,
+    # rather than report nan or inf under a numpy warning.
+    for group in ("sampler_checks", "snr_checks"):
+        assert rows[group][1] == "fail"
+        assert rows[group][5].startswith(("ZeroDivisionError: ", "OverflowError: "))
+    assert captured.err == ""
     # The groups after the one that raised still run.
     assert rows["beamforming_gain_k4"][1] == "pass"
 

@@ -10,6 +10,7 @@ from uavcap.link import RadarLinkParams, mean_single_uav_snr, path_gain_squared
 from uavcap.montecarlo import (
     EmpiricalEstimate,
     TrialPlan,
+    _run_chunks,
     confidence_z,
     mc_detection_rates,
     mc_integration_energy,
@@ -205,6 +206,52 @@ def test_kernels_reproduce_pinned_estimates(pin: tuple, workers: int) -> None:
     ):
         assert estimate.mean == mean
         assert estimate.half_width == pytest.approx(half_width, rel=1e-15, abs=0.0)
+
+
+# Pinned zero-amplitude energies, (cpi_symbols, seed, mean, half-width) at
+# 10_000 trials. With no echo the estimate is noise alone, so unlike the
+# signal-dominated KERNEL_PINS it reads every bit of the per-trial sums.
+# cpi_symbols 3 and 7 date from numpy's .sum(axis=1), which adds up to 7
+# columns left to right; 8 and 16 pin the left-to-right column sums.
+ZERO_AMPLITUDE_ENERGY_PINS = [
+    (3, 424242, 1.207565398824336e-09, 3.090810445220401e-11),
+    (3, 7, 1.2171967281748558e-09, 3.174222849564927e-11),
+    (7, 424242, 2.8077666092900525e-09, 7.228369975976171e-11),
+    (7, 7, 2.8211371563934803e-09, 7.338761595786437e-11),
+    (8, 424242, 3.178672382102157e-09, 8.223647250363831e-11),
+    (8, 7, 3.2836504525564597e-09, 8.611483039755355e-11),
+    (16, 424242, 6.29757814084927e-09, 1.6192105454913398e-10),
+    (16, 7, 6.457911088438217e-09, 1.6631383789552145e-10),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "pin", ZERO_AMPLITUDE_ENERGY_PINS, ids=lambda pin: f"cpi{pin[0]}-seed{pin[1]}"
+)
+def test_zero_amplitude_energy_reproduces_pinned_sums(pin: tuple, workers: int) -> None:
+    cpi, seed, mean, half_width = pin
+    link = replace(RadarLinkParams(), cpi_symbols=cpi)
+    est = mc_integration_energy(link, 0.0, TrialPlan(10_000, seed), workers)
+    assert (est.mean, est.half_width) == (mean, half_width)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunks_hands_each_chunk_its_substream(workers: int) -> None:
+    # Every call leaves its generator part way through a Philox block and
+    # holding half a 32-bit word, which a re-seated generator must drop.
+    def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
+        normals = rng.standard_normal(3)
+        half_word = rng.integers(2**32, dtype=np.uint32)
+        return (float(count), *map(float, normals), float(half_word))
+
+    sizes = [4096, 4096, 4096, 5]  # three full chunks and a ragged one
+    drawn = _run_chunks(TrialPlan(sum(sizes), SEED), 3, kernel, workers, salt=9)
+    expected = [
+        kernel(substream(SEED, 3, index, 9), count)
+        for index, count in enumerate(sizes)
+    ]
+    assert drawn == expected
 
 
 # Pinned mc_mean_snr estimates at the reference scenario: (seed, mean,

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import pytest
 
@@ -7,6 +8,7 @@ from uavcap.config import parse_config
 from uavcap.link import PathlossConstant
 from uavcap.validation import (
     STATUSES,
+    _density_checks,
     failed_checks,
     render_validation_csv,
     run_validation,
@@ -94,3 +96,21 @@ def test_report_is_deterministic() -> None:
     first = render_validation_csv(config, run_validation(config))
     second = render_validation_csv(config, run_validation(config))
     assert first == second
+
+
+@pytest.mark.parametrize("radius_km", ["1e-3", "1", "1e3"])
+@pytest.mark.parametrize(
+    "radius_ratio", ["1.0001", "1.01", "2", "10", "1e3", "1e5", "1e7", "1e9", "1e12"]
+)
+def test_quartic_moment_quadrature_holds_across_geometries(
+    radius_km: str, radius_ratio: str
+) -> None:
+    # Quadrature with an absolute tolerance above the moment itself read
+    # 11 % off at R = 1e3, eps = 1e3, and went negative at eps >= 1e7.
+    config = parse_config("", {"radius_km": radius_km, "radius_ratio": radius_ratio})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = {row.name: row for row in _density_checks(config)}
+    moment = rows["inverse_quartic_range_moment"]
+    assert moment.status == "pass"
+    assert abs(moment.measured - moment.expected) <= 1e-12 * moment.expected
