@@ -54,7 +54,7 @@ from .montecarlo import (
     mc_integration_energy,
     mc_mean_snr,
 )
-from .sweeps import SweepRow, render_sweep_csv, run_sweep
+from .sweeps import render_sweep_csv, run_sweep
 from .validation import CheckResult, render_validation_csv, run_validation
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "ScenarioConfig",
     "SensingRegion",
     "SurrogateDomainError",
-    "SweepRow",
     "TrialPlan",
     "UpaGeometry",
     "capacity_under_pd_bisect",

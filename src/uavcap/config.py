@@ -5,17 +5,24 @@ comments are ignored. Every key has a default, so the empty document is a
 valid scenario (the reference operating point). Unknown keys and
 out-of-range values raise ConfigError naming the key and the bound.
 
+Each key is defined once, as a ScenarioConfig field: its type is the
+annotation, its default the field default, and its range or choices the
+field metadata. The parse table is derived from those fields.
+
 Noise can be given either directly (``noise_power_dbm``) or as a pair
 (``noise_density_dbm_hz``, ``bandwidth_mhz``), not both; the resolved
 config always stores the total noise power, and document_items() emits
 that canonical form, so a dumped config re-parses to an equal one.
+render_csv() echoes those items as the ``#`` header of every command's CSV.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping, Sequence
 
 from .capacity import CapacityQuery
 from .detection import DetectionSpec, SURROGATE_MODES
@@ -25,44 +32,71 @@ from .montecarlo import TrialPlan
 
 DEFAULT_SEED = 20260816
 
-_DEFAULT_NOISE_DENSITY_DBM_HZ = -174.0
-_DEFAULT_BANDWIDTH_MHZ = 100.0
-
 
 class ConfigError(ValueError):
     """Invalid config document, key, or value."""
 
 
+def _key(
+    default: object,
+    low: float = -math.inf,
+    high: float = math.inf,
+    low_open: bool = False,
+    high_open: bool = False,
+    choices: tuple[str, ...] = (),
+):
+    """A settable key as a field: its default and the values it accepts."""
+    return field(
+        default=default,
+        metadata={"bounds": (low, high, low_open, high_open), "choices": choices},
+    )
+
+
+# Accepted keys that are not fields: they resolve into noise_power_dbm.
+_NOISE_KEYS = {
+    "noise_density_dbm_hz": _key(-174.0),
+    "bandwidth_mhz": _key(100.0, low=0.0, low_open=True),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario; field defaults are the reference operating point."""
+    """Fully resolved scenario; field defaults are the reference operating point.
 
-    tx_power_dbm: float = 58.0
-    combined_gain_db: float = 22.5
-    noise_power_dbm: float = noise_power_dbm_from_density(
-        _DEFAULT_NOISE_DENSITY_DBM_HZ, _DEFAULT_BANDWIDTH_MHZ
+    Every field but ``frames_explicit`` is a config key, in document order.
+    """
+
+    tx_power_dbm: float = _key(58.0)
+    combined_gain_db: float = _key(22.5)
+    noise_power_dbm: float = _key(
+        noise_power_dbm_from_density(
+            _NOISE_KEYS["noise_density_dbm_hz"].default,
+            _NOISE_KEYS["bandwidth_mhz"].default,
+        )
     )
-    carrier_freq_mhz: float = 4900.0
-    rcs_m2: float = 0.01
-    uavs_per_symbol: int = 1
-    cpi_symbols: int = 3
-    radius_km: float = 1.0
-    radius_ratio: float = 10.0
-    max_elevation_rad: float = math.pi / 5.0
-    pfa: float = 0.05
-    pd_threshold: float = 0.95
-    snr_threshold_db: float = 13.0
-    frames: int = 1
-    symbols_per_frame: int = 14
-    snr_mode: str = "normalized"
-    surrogate_mode: str = "exact"
-    trials: int = 100_000
-    seed: int = DEFAULT_SEED
-    confidence: float = 0.99
-    workers: int = 1
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    sweep_step: float | None = None
+    carrier_freq_mhz: float = _key(4900.0, low=0.0, low_open=True)
+    rcs_m2: float = _key(0.01, low=0.0, low_open=True)
+    uavs_per_symbol: int = _key(1, low=1)
+    cpi_symbols: int = _key(3, low=1)
+    radius_km: float = _key(1.0, low=0.0, low_open=True)
+    radius_ratio: float = _key(10.0, low=1.0, low_open=True)
+    max_elevation_rad: float = _key(
+        math.pi / 5.0, low=0.0, high=math.pi / 2.0, low_open=True
+    )
+    pfa: float = _key(0.05, low=0.0, high=0.5, low_open=True, high_open=True)
+    pd_threshold: float = _key(0.95, low=0.0, high=1.0, low_open=True, high_open=True)
+    snr_threshold_db: float = _key(13.0)
+    symbols_per_frame: int = _key(14, low=1)
+    snr_mode: str = _key("normalized", choices=SNR_MODES)
+    surrogate_mode: str = _key("exact", choices=SURROGATE_MODES)
+    trials: int = _key(100_000, low=0)
+    seed: int = _key(DEFAULT_SEED, low=0)
+    confidence: float = _key(0.99, low=0.0, high=1.0, low_open=True, high_open=True)
+    workers: int = _key(1, low=1)
+    frames: int = _key(1, low=1)
+    sweep_start: float | None = _key(None)
+    sweep_stop: float | None = _key(None)
+    sweep_step: float | None = _key(None, low=0.0, low_open=True)
     # True when `frames` appeared explicitly; uav-count sweeps then plot
     # that single frame count instead of the default {1, 3, 5} curves.
     frames_explicit: bool = False
@@ -114,132 +148,52 @@ class ScenarioConfig:
 
     def document_items(self) -> list[tuple[str, str]]:
         """Canonical (key, value) pairs; parsing them back yields this config."""
-        items: list[tuple[str, str]] = [
-            ("tx_power_dbm", repr(self.tx_power_dbm)),
-            ("combined_gain_db", repr(self.combined_gain_db)),
-            ("noise_power_dbm", repr(self.noise_power_dbm)),
-            ("carrier_freq_mhz", repr(self.carrier_freq_mhz)),
-            ("rcs_m2", repr(self.rcs_m2)),
-            ("uavs_per_symbol", str(self.uavs_per_symbol)),
-            ("cpi_symbols", str(self.cpi_symbols)),
-            ("radius_km", repr(self.radius_km)),
-            ("radius_ratio", repr(self.radius_ratio)),
-            ("max_elevation_rad", repr(self.max_elevation_rad)),
-            ("pfa", repr(self.pfa)),
-            ("pd_threshold", repr(self.pd_threshold)),
-            ("snr_threshold_db", repr(self.snr_threshold_db)),
-            ("symbols_per_frame", str(self.symbols_per_frame)),
-            ("snr_mode", self.snr_mode),
-            ("surrogate_mode", self.surrogate_mode),
-            ("trials", str(self.trials)),
-            ("seed", str(self.seed)),
-            ("confidence", repr(self.confidence)),
-            ("workers", str(self.workers)),
+        return [
+            (f.name, str(value))
+            for f in fields(self)
+            if f.metadata
+            and (value := getattr(self, f.name)) is not None
+            and (f.name != "frames" or self.frames_explicit)
         ]
-        if self.frames_explicit:
-            items.append(("frames", str(self.frames)))
-        for key in ("sweep_start", "sweep_stop", "sweep_step"):
-            value = getattr(self, key)
-            if value is not None:
-                items.append((key, repr(value)))
-        return items
 
 
-_INT_KEYS = {
-    "uavs_per_symbol",
-    "cpi_symbols",
-    "frames",
-    "symbols_per_frame",
-    "trials",
-    "seed",
-    "workers",
+# key -> (type name from the annotation, accepted values); the parse table.
+_KEYS: dict[str, tuple[str, Mapping[str, object]]] = {
+    f.name: (f.type.partition(" ")[0], f.metadata)
+    for f in fields(ScenarioConfig)
+    if f.metadata
 }
-_FLOAT_KEYS = {
-    "tx_power_dbm",
-    "combined_gain_db",
-    "noise_power_dbm",
-    "noise_density_dbm_hz",
-    "bandwidth_mhz",
-    "carrier_freq_mhz",
-    "rcs_m2",
-    "radius_km",
-    "radius_ratio",
-    "max_elevation_rad",
-    "pfa",
-    "pd_threshold",
-    "snr_threshold_db",
-    "confidence",
-    "sweep_start",
-    "sweep_stop",
-    "sweep_step",
-}
-_STR_KEYS = {"snr_mode", "surrogate_mode"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-# (low, high, low_open, high_open); None = unbounded on that side.
-_RANGES: dict[str, tuple[float | None, float | None, bool, bool]] = {
-    "carrier_freq_mhz": (0.0, None, True, False),
-    "rcs_m2": (0.0, None, True, False),
-    "bandwidth_mhz": (0.0, None, True, False),
-    "uavs_per_symbol": (1, None, False, False),
-    "cpi_symbols": (1, None, False, False),
-    "frames": (1, None, False, False),
-    "symbols_per_frame": (1, None, False, False),
-    "radius_km": (0.0, None, True, False),
-    "radius_ratio": (1.0, None, True, False),
-    "max_elevation_rad": (0.0, math.pi / 2.0, True, False),
-    "pfa": (0.0, 0.5, True, True),
-    "pd_threshold": (0.0, 1.0, True, True),
-    "trials": (0, None, False, False),
-    "seed": (0, None, False, False),
-    "confidence": (0.0, 1.0, True, True),
-    "workers": (1, None, False, False),
-    "sweep_step": (0.0, None, True, False),
-}
-_CHOICES = {"snr_mode": SNR_MODES, "surrogate_mode": SURROGATE_MODES}
-
-
-def _range_text(key: str) -> str:
-    low, high, low_open, high_open = _RANGES[key]
-    left = "(" if low_open else "["
-    right = ")" if high_open else "]"
-    low_s = "-inf" if low is None else f"{low:g}"
-    high_s = "inf" if high is None else f"{high:g}"
-    return f"{left}{low_s}, {high_s}{right}"
-
-
-def _check_range(key: str, value: float) -> None:
-    if key not in _RANGES:
-        return
-    low, high, low_open, high_open = _RANGES[key]
-    ok = True
-    if low is not None:
-        ok = ok and (value > low if low_open else value >= low)
-    if high is not None:
-        ok = ok and (value < high if high_open else value <= high)
-    if not ok:
-        raise ConfigError(f"{key}: must be in {_range_text(key)}, got {value:g}")
+_KEYS.update((name, ("float", f.metadata)) for name, f in _NOISE_KEYS.items())
 
 
 def _parse_value(key: str, raw: str) -> int | float | str:
-    if key in _INT_KEYS:
+    kind, accepted = _KEYS[key]
+    if kind == "str":
+        choices = accepted["choices"]
+        if raw not in choices:
+            raise ConfigError(f"{key}: must be one of {choices}, got {raw!r}")
+        return raw
+    if kind == "int":
         try:
             value: int | float = int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    elif key in _FLOAT_KEYS:
+    else:
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
         if not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    else:
-        choices = _CHOICES[key]
-        if raw not in choices:
-            raise ConfigError(f"{key}: must be one of {choices}, got {raw!r}")
-        return raw
-    _check_range(key, value)
+    low, high, low_open, high_open = accepted["bounds"]
+    above = value > low if low_open else value >= low
+    below = value < high if high_open else value <= high
+    if not (above and below):
+        left = "(" if low_open else "["
+        right = ")" if high_open else "]"
+        raise ConfigError(
+            f"{key}: must be in {left}{low:g}, {high:g}{right}, got {value:g}"
+        )
     return value
 
 
@@ -253,7 +207,7 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, int | float | str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -271,22 +225,25 @@ def parse_config(
     """
     values = _parse_lines(text.splitlines())
     for key, raw in (overrides or {}).items():
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = _parse_value(key, raw)
 
     direct_noise = "noise_power_dbm" in values
-    density_given = "noise_density_dbm_hz" in values or "bandwidth_mhz" in values
-    if direct_noise and density_given:
+    if direct_noise and any(key in values for key in _NOISE_KEYS):
         raise ConfigError(
             "give either noise_power_dbm or noise_density_dbm_hz/bandwidth_mhz, not both"
         )
     if not direct_noise:
-        density = float(
-            values.pop("noise_density_dbm_hz", _DEFAULT_NOISE_DENSITY_DBM_HZ)
+        density, bandwidth = (
+            float(values.pop(key, _NOISE_KEYS[key].default)) for key in _NOISE_KEYS
         )
-        bandwidth = float(values.pop("bandwidth_mhz", _DEFAULT_BANDWIDTH_MHZ))
         values["noise_power_dbm"] = noise_power_dbm_from_density(density, bandwidth)
+        # A finite bandwidth near the float limit overflows the log term.
+        if not math.isfinite(values["noise_power_dbm"]):
+            raise ConfigError(
+                f"bandwidth_mhz: must give a finite noise power, got {bandwidth:g}"
+            )
 
     frames_explicit = "frames" in values
     config = ScenarioConfig(**values, frames_explicit=frames_explicit)  # type: ignore[arg-type]
@@ -306,3 +263,27 @@ def with_overrides(config: ScenarioConfig, **changes: object) -> ScenarioConfig:
     if "frames" in changes:
         changes.setdefault("frames_explicit", True)
     return replace(config, **changes)  # type: ignore[arg-type]
+
+
+def render_csv(
+    title: str,
+    items: Iterable[tuple[str, str]],
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+) -> str:
+    """Every command's CSV: ``# title``, ``# key = value`` lines, then the table.
+
+    None renders as an empty cell and a float as ``.10g``; output has LF
+    line endings and nothing that varies between runs.
+    """
+    out = io.StringIO()
+    out.write(f"# {title}\n")
+    for key, value in items:
+        out.write(f"# {key} = {value}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [format(cell, ".10g") if isinstance(cell, float) else cell for cell in row]
+        )
+    return out.getvalue()

@@ -1,18 +1,18 @@
 """Parameter sweeps and their CSV serialization.
 
-Each sweep kind has a fixed column set; one row per sweep point. A point
-whose computation fails (e.g. a radius of 0) yields a row whose status
-column carries the error text, and later points are still computed. Output
-is deterministic: no timestamps, LF line endings, the resolved config
-echoed as ``# key = value`` header lines (re-parsable by parse_config).
+Each sweep kind has a fixed column set; one row per sweep point. A row is a
+dict keyed by column name plus ``status`` ("ok" or "error: ..."); a column
+missing from it renders as an empty cell. A point whose computation fails
+(e.g. a radius of 0) yields a row whose status carries the error text, and
+later points are still computed. Output is deterministic: no timestamps,
+LF line endings, the resolved config echoed as ``# key = value`` header
+lines (re-parsable by parse_config).
 """
 
 from __future__ import annotations
 
-import io
-import csv
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .capacity import (
     CapacityBracketError,
@@ -20,91 +20,54 @@ from .capacity import (
     capacity_under_snr,
     mean_snr_at,
 )
-from .config import ScenarioConfig, with_overrides
+from .config import ScenarioConfig, render_csv, with_overrides
 from .detection import SurrogateDomainError, joint_pd, log_joint_pd_surrogate, q_inv
 from .link import linear_to_db
 from .montecarlo import mc_mean_snr
 
-SWEEP_KINDS = (
-    "snr-vs-uavs",
-    "pd-vs-uavs",
-    "capacity-vs-radius",
-    "capacity-vs-frames",
-    "capacity-vs-power",
-)
 
-# start, stop, step defaults per kind (inclusive endpoints).
-_DEFAULT_RANGES = {
-    "snr-vs-uavs": (1.0, 50.0, 1.0),
-    "pd-vs-uavs": (1.0, 50.0, 1.0),
-    "capacity-vs-radius": (0.5, 2.0, 0.25),
-    "capacity-vs-frames": (1.0, 10.0, 1.0),
-    "capacity-vs-power": (50.0, 58.0, 2.0),
-}
+class _Kind(NamedTuple):
+    grid: tuple[float, float, float]  # default start, stop, step (inclusive)
+    integer: bool  # sweep points must be whole numbers
+    columns: tuple[str, ...]  # capacity sweeps: the first is the swept key
 
-_INTEGER_KINDS = {"snr-vs-uavs", "pd-vs-uavs", "capacity-vs-frames"}
 
-_COLUMNS = {
-    "snr-vs-uavs": (
-        "frames",
-        "uav_count",
-        "snr_db",
-        "mc_snr_db",
-        "mc_snr_halfwidth_db",
+_KINDS = {
+    "snr-vs-uavs": _Kind(
+        (1.0, 50.0, 1.0), True,
+        ("frames", "uav_count", "snr_db", "mc_snr_db", "mc_snr_halfwidth_db"),
     ),
-    "pd-vs-uavs": ("frames", "uav_count", "joint_pd_exact", "joint_pd_surrogate"),
-    "capacity-vs-radius": (
-        "radius_km",
-        "snr_capacity",
-        "pd_capacity",
-        "snr_db_at_snr_capacity",
-        "joint_pd_at_pd_capacity",
+    "pd-vs-uavs": _Kind(
+        (1.0, 50.0, 1.0), True,
+        ("frames", "uav_count", "joint_pd_exact", "joint_pd_surrogate"),
     ),
-    "capacity-vs-frames": (
-        "frames",
-        "total_symbols",
-        "snr_capacity",
-        "pd_capacity",
-        "snr_db_at_snr_capacity",
-        "joint_pd_at_pd_capacity",
+    "capacity-vs-radius": _Kind(
+        (0.5, 2.0, 0.25), False,
+        ("radius_km", "snr_capacity", "pd_capacity", "snr_db_at_snr_capacity",
+         "joint_pd_at_pd_capacity"),
     ),
-    "capacity-vs-power": (
-        "tx_power_dbm",
-        "snr_capacity",
-        "pd_capacity",
-        "snr_db_at_snr_capacity",
-        "joint_pd_at_pd_capacity",
+    "capacity-vs-frames": _Kind(
+        (1.0, 10.0, 1.0), True,
+        ("frames", "total_symbols", "snr_capacity", "pd_capacity",
+         "snr_db_at_snr_capacity", "joint_pd_at_pd_capacity"),
+    ),
+    "capacity-vs-power": _Kind(
+        (50.0, 58.0, 2.0), False,
+        ("tx_power_dbm", "snr_capacity", "pd_capacity", "snr_db_at_snr_capacity",
+         "joint_pd_at_pd_capacity"),
     ),
 }
+SWEEP_KINDS = tuple(_KINDS)
 
 # Failures that should become an error row rather than abort the sweep.
 _ROW_ERRORS = (ValueError, CapacityBracketError, ZeroDivisionError, OverflowError)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point; unused columns stay None and render as empty cells."""
-
-    swept_value: float
-    frames: int | None = None
-    total_symbols: int | None = None
-    snr_db: float | None = None
-    joint_pd_exact: float | None = None
-    joint_pd_surrogate: float | None = None
-    mc_snr_db: float | None = None
-    mc_snr_halfwidth_db: float | None = None
-    snr_capacity: int | None = None
-    pd_capacity: int | None = None
-    snr_db_at_snr_capacity: float | None = None
-    joint_pd_at_pd_capacity: float | None = None
-    error: str | None = None
 
 
 def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
     """Inclusive sweep grid for `kind`, from config overrides or defaults."""
     if kind not in SWEEP_KINDS:
         raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {kind!r}")
-    start, stop, step = _DEFAULT_RANGES[kind]
+    start, stop, step = _KINDS[kind].grid
     if config.sweep_start is not None:
         start = config.sweep_start
     if config.sweep_stop is not None:
@@ -115,12 +78,10 @@ def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
         raise ValueError(f"sweep stop {stop:g} is below start {start:g}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     values = [start + i * step for i in range(count)]
-    if kind in _INTEGER_KINDS:
+    if _KINDS[kind].integer:
         for value in values:
             if not float(value).is_integer():
-                raise ValueError(
-                    f"{kind} sweep needs integer points, got {value:g}"
-                )
+                raise ValueError(f"{kind} sweep needs integer points, got {value:g}")
     return values
 
 
@@ -132,8 +93,8 @@ def _surrogate_column_mode(config: ScenarioConfig) -> str:
 
 def _uav_count_rows(
     kind: str, config: ScenarioConfig, counts: list[float]
-) -> list[SweepRow]:
-    rows: list[SweepRow] = []
+) -> list[dict[str, object]]:
+    rows: list[dict[str, object]] = []
     xi = q_inv(config.pfa)
     surrogate_mode = _surrogate_column_mode(config)
     with_mc = kind == "snr-vs-uavs" and config.trials > 0
@@ -167,130 +128,76 @@ def _uav_count_rows(
         except _ROW_ERRORS as exc:
             # A curve whose mean SNR cannot be computed fails every row.
             rows.extend(
-                SweepRow(swept_value=int(value), frames=frames, error=str(exc))
+                {"frames": frames, "uav_count": int(value), "status": f"error: {exc}"}
                 for value in counts
             )
             continue
         for value in counts:
             count = int(value)
+            row: dict[str, object] = {"frames": frames, "uav_count": count}
             try:
                 if count < 1:
                     raise ValueError(f"uav count must be >= 1, got {count}")
                 snr_l = mean_one / count
                 if kind == "snr-vs-uavs":
-                    mc_db = mc_hw_db = None
                     if mc_base is not None:
                         mc_mean, mc_hw = mc_base[0] / count, mc_base[1] / count
-                        mc_db = linear_to_db(mc_mean)
-                        mc_hw_db = 10.0 * math.log10(
+                        row["mc_snr_db"] = linear_to_db(mc_mean)
+                        row["mc_snr_halfwidth_db"] = 10.0 * math.log10(
                             (mc_mean + mc_hw) / mc_mean
                         )
-                    rows.append(
-                        SweepRow(
-                            swept_value=count,
-                            frames=frames,
-                            snr_db=linear_to_db(snr_l),
-                            mc_snr_db=mc_db,
-                            mc_snr_halfwidth_db=mc_hw_db,
-                        )
-                    )
+                    row["snr_db"] = linear_to_db(snr_l)
                 else:
+                    row["joint_pd_exact"] = joint_pd(snr_l, count, config.pfa)
                     try:
-                        approx = math.exp(
+                        row["joint_pd_surrogate"] = math.exp(
                             log_joint_pd_surrogate(rho, xi, count, surrogate_mode)
                         )
                     except SurrogateDomainError:
-                        approx = None
-                    rows.append(
-                        SweepRow(
-                            swept_value=count,
-                            frames=frames,
-                            joint_pd_exact=joint_pd(snr_l, count, config.pfa),
-                            joint_pd_surrogate=approx,
-                        )
-                    )
+                        pass  # outside the surrogate's domain: empty cell
+                row["status"] = "ok"
             except _ROW_ERRORS as exc:
-                rows.append(
-                    SweepRow(swept_value=count, frames=frames, error=str(exc))
-                )
+                row = {"frames": frames, "uav_count": count, "status": f"error: {exc}"}
+            rows.append(row)
     return rows
 
 
-def _capacity_row(config: ScenarioConfig, frames: int | None = None) -> SweepRow:
-    query = config.query(frames=frames)
-    by_snr = capacity_under_snr(query)
-    by_pd = capacity_under_pd_bisect(query)
-    return SweepRow(
-        swept_value=math.nan,  # caller fills
-        snr_capacity=by_snr.max_uavs,
-        pd_capacity=by_pd.max_uavs,
-        snr_db_at_snr_capacity=linear_to_db(by_snr.achieved_snr),
-        joint_pd_at_pd_capacity=by_pd.achieved_joint_pd,
-    )
+def _capacity_row(kind: str, config: ScenarioConfig, value: float) -> dict[str, object]:
+    swept = _KINDS[kind].columns[0]
+    point = int(value) if _KINDS[kind].integer else value
+    try:
+        query = with_overrides(config, **{swept: point}).query()
+        by_snr = capacity_under_snr(query)
+        by_pd = capacity_under_pd_bisect(query)
+        return {
+            swept: point,
+            "total_symbols": query.total_symbols,
+            "snr_capacity": by_snr.max_uavs,
+            "pd_capacity": by_pd.max_uavs,
+            "snr_db_at_snr_capacity": linear_to_db(by_snr.achieved_snr),
+            "joint_pd_at_pd_capacity": by_pd.achieved_joint_pd,
+            "status": "ok",
+        }
+    except _ROW_ERRORS as exc:
+        return {swept: point, "status": f"error: {exc}"}
 
 
-def run_sweep(kind: str, config: ScenarioConfig) -> list[SweepRow]:
-    """Evaluate every sweep point; per-point failures become error rows."""
+def run_sweep(kind: str, config: ScenarioConfig) -> list[dict[str, object]]:
+    """Evaluate every sweep point as a row dict; failures become error rows."""
     values = sweep_values(kind, config)
     if kind in ("snr-vs-uavs", "pd-vs-uavs"):
         return _uav_count_rows(kind, config, values)
-
-    rows: list[SweepRow] = []
-    for value in values:
-        try:
-            if kind == "capacity-vs-radius":
-                row = _capacity_row(with_overrides(config, radius_km=value))
-            elif kind == "capacity-vs-power":
-                row = _capacity_row(with_overrides(config, tx_power_dbm=value))
-            else:
-                frames = int(value)
-                row = replace(
-                    _capacity_row(config, frames=frames),
-                    frames=frames,
-                    total_symbols=frames * config.symbols_per_frame,
-                )
-            rows.append(replace(row, swept_value=value))
-        except _ROW_ERRORS as exc:
-            extra: dict[str, object] = {}
-            if kind == "capacity-vs-frames":
-                extra = {"frames": int(value)}
-            rows.append(SweepRow(swept_value=value, error=str(exc), **extra))
-    return rows
-
-
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def _cell(row: SweepRow, column: str) -> str:
-    if column in ("uav_count",):
-        return _format_cell(int(row.swept_value))
-    if column in ("radius_km", "tx_power_dbm"):
-        return _format_cell(row.swept_value)
-    if column == "frames":
-        return _format_cell(row.frames)
-    return _format_cell(getattr(row, column))
+    return [_capacity_row(kind, config, value) for value in values]
 
 
 def render_sweep_csv(
-    kind: str, config: ScenarioConfig, rows: list[SweepRow]
+    kind: str, config: ScenarioConfig, rows: list[dict[str, object]]
 ) -> str:
     """CSV text: `#` header with kind and resolved config, then the table."""
-    out = io.StringIO()
-    out.write("# uavcap sweep\n")
-    out.write(f"# kind = {kind}\n")
-    for key, value in config.document_items():
-        out.write(f"# {key} = {value}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    columns = _COLUMNS[kind]
-    writer.writerow(list(columns) + ["status"])
-    for row in rows:
-        status = "ok" if row.error is None else f"error: {row.error}"
-        writer.writerow([_cell(row, c) for c in columns] + [status])
-    return out.getvalue()
+    columns = _KINDS[kind].columns + ("status",)
+    return render_csv(
+        "uavcap sweep",
+        [("kind", kind), *config.document_items()],
+        columns,
+        ([row.get(column) for column in columns] for row in rows),
+    )

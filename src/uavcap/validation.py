@@ -12,10 +12,8 @@ reason) instead of pass or fail. Deterministic checks never do.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .arrays import UpaGeometry, effective_channel_gain
 from .capacity import (
@@ -24,7 +22,7 @@ from .capacity import (
     capacity_under_snr,
     mean_snr_at,
 )
-from .config import ScenarioConfig, with_overrides
+from .config import ScenarioConfig, render_csv, with_overrides
 from .detection import joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
     Position,
@@ -424,10 +422,8 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
     ]
 
 
-def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
+def _capacity_radius_monotone(config: ScenarioConfig) -> list[CheckResult]:
     import numpy as np
-
-    results = []
 
     # Capacity never increases with radius, at several power levels.
     worst_jump = 0
@@ -449,61 +445,80 @@ def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
                     caps[1] - previous[1],
                 )
             previous = caps
-    results.append(
+    return [
         _quantitative(
             "capacity_radius_monotone", float(worst_jump), 0.0, 0.0,
             "largest capacity increase along growing radius; 0 = monotone",
         )
-    )
+    ]
 
-    # SNR-constrained capacity is proportional to the frame count; the
-    # PD-constrained one is concave, so only its monotonicity is asserted
-    # and its deviation from proportionality is reported.
-    frames = list(range(1, 11))
-    snr_caps = []
-    pd_caps = []
-    for f in frames:
-        query = config.query(frames=f)
-        snr_caps.append(capacity_under_snr(query).max_uavs)
-        pd_caps.append(capacity_under_pd_bisect(query).max_uavs)
 
-    def origin_fit_dev(caps: list[int]) -> float:
-        xs = np.asarray(frames, dtype=float)
-        ys = np.asarray(caps, dtype=float)
-        slope = float(xs @ ys / (xs @ xs))
-        return float(np.max(np.abs(ys - slope * xs)))
+# SNR-constrained capacity is proportional to the frame count; the
+# PD-constrained one is concave, so only its monotonicity is asserted and
+# its deviation from proportionality is reported.
+_TREND_FRAMES = range(1, 11)
 
-    snr_dev = origin_fit_dev(snr_caps)
-    pd_dev = origin_fit_dev(pd_caps)
-    results.append(
+
+def _origin_fit_dev(caps: list[int]) -> float:
+    """Largest deviation of capacity from its through-origin fit in frames."""
+    import numpy as np
+
+    xs = np.asarray(_TREND_FRAMES, dtype=float)
+    ys = np.asarray(caps, dtype=float)
+    slope = float(xs @ ys / (xs @ xs))
+    return float(np.max(np.abs(ys - slope * xs)))
+
+
+def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[CheckResult]:
+    caps = [capacity_under_snr(config.query(frames=f)).max_uavs for f in _TREND_FRAMES]
+    return [
         _quantitative(
-            "snr_capacity_frames_proportional", snr_dev, 0.0, 1.0,
+            "snr_capacity_frames_proportional", _origin_fit_dev(caps), 0.0, 1.0,
             "max deviation from the through-origin fit, frames 1..10",
         )
-    )
-    pd_monotone = all(b >= a for a, b in zip(pd_caps, pd_caps[1:]))
-    results.append(
+    ]
+
+
+def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[CheckResult]:
+    caps = [
+        capacity_under_pd_bisect(config.query(frames=f)).max_uavs
+        for f in _TREND_FRAMES
+    ]
+    dev = _origin_fit_dev(caps)
+    return [
         CheckResult(
             "pd_capacity_frames_monotone",
-            _verdict(pd_monotone),
-            pd_dev,
+            _verdict(all(b >= a for a, b in zip(caps, caps[1:]))),
+            dev,
             None,
             None,
             "monotone non-decreasing asserted; deviation from "
-            f"proportionality measured at {pd_dev:.3g} UAVs (concave trend)",
+            f"proportionality measured at {dev:.3g} UAVs (concave trend)",
         )
-    )
+    ]
 
+
+def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
     # Joint PD vs count: flat near 1, then a sharp drop; concave until the
     # curve crosses the detection floor.
-    query = config.query()
-    mean_one = mean_snr_at(query, 1)
+    name = "joint_pd_slow_then_sharp"
+    mean_one = mean_snr_at(config.query(), 1)
     counts = list(range(1, 61))
     pds = [joint_pd(mean_one / c, c, config.pfa) for c in counts]
     crossing = next(
         (i for i, value in enumerate(pds) if value < config.pd_threshold),
         len(pds),
     )
+    if crossing < 2:
+        # Fewer than three counts before the crossing: no second difference.
+        return [
+            CheckResult(
+                name, "pass",
+                detail=f"joint PD is below the floor from count {crossing + 1} on: "
+                "too few counts before the crossing for a second difference "
+                "(vacuous pass)",
+            )
+        ]
     second = [
         pds[i + 1] - 2.0 * pds[i] + pds[i - 1]
         for i in range(1, min(crossing, len(pds) - 1))
@@ -513,18 +528,17 @@ def _trend_checks(config: ScenarioConfig) -> list[CheckResult]:
     # they must be strictly negative, and the drop must be sharp.
     concave = all(d <= 1e-15 for d in second) and min(second) < -1e-3
     half = pds[max((crossing + 1) // 2 - 1, 0)]
-    results.append(
+    return [
         CheckResult(
-            "joint_pd_slow_then_sharp",
+            name,
             _verdict(concave and half > 0.99),
-            min(second) if second else None,
+            min(second),
             None,
             None,
             f"second differences <= 0 up to the crossing at {crossing + 1}; "
             f"joint PD still {half:.4f} at half the crossing count",
         )
-    )
-    return results
+    ]
 
 
 def _beamforming_check(config: ScenarioConfig) -> list[CheckResult]:
@@ -558,7 +572,10 @@ _CHECK_GROUPS = (
     _q_approx_check,
     _solver_agreement_check,
     _surrogate_capacity_check,
-    _trend_checks,
+    _capacity_radius_monotone,
+    _snr_capacity_frames_proportional,
+    _pd_capacity_frames_monotone,
+    _joint_pd_slow_then_sharp,
     _beamforming_check,
 )
 
@@ -588,24 +605,12 @@ def render_validation_csv(
     config: ScenarioConfig, results: list[CheckResult]
 ) -> str:
     """Same deterministic CSV shape as sweeps: `#` config header, then rows."""
-    out = io.StringIO()
-    out.write("# uavcap validation\n")
-    for key, value in config.document_items():
-        out.write(f"# {key} = {value}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["check", "status", "measured", "expected", "tolerance", "detail"])
-    for result in results:
-        writer.writerow(
-            [
-                result.name,
-                result.status,
-                "" if result.measured is None else format(result.measured, ".10g"),
-                "" if result.expected is None else format(result.expected, ".10g"),
-                "" if result.tolerance is None else format(result.tolerance, ".10g"),
-                result.detail,
-            ]
-        )
-    return out.getvalue()
+    return render_csv(
+        "uavcap validation",
+        config.document_items(),
+        ("check", "status", "measured", "expected", "tolerance", "detail"),
+        (astuple(result) for result in results),
+    )
 
 
 def failed_checks(results: list[CheckResult]) -> list[CheckResult]:

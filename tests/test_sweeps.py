@@ -45,18 +45,18 @@ def test_error_rows_do_not_abort_sweep() -> None:
     config = parse_config("sweep_start = 0\nsweep_stop = 0.75\nsweep_step = 0.25\n")
     rows = run_sweep("capacity-vs-radius", config)
     assert len(rows) == 4
-    assert rows[0].error is not None
-    assert "max_range" in rows[0].error
-    assert all(row.error is None for row in rows[1:])
-    assert all(row.snr_capacity is not None for row in rows[1:])
+    assert rows[0]["status"].startswith("error: ")
+    assert "max_range" in rows[0]["status"]
+    assert all(row["status"] == "ok" for row in rows[1:])
+    assert all(row["snr_capacity"] is not None for row in rows[1:])
 
 
 def test_frames_curves_default_and_explicit() -> None:
     config = parse_config("trials = 0\nsweep_stop = 4\n")
     rows = run_sweep("pd-vs-uavs", config)
-    assert [row.frames for row in rows] == [1] * 4 + [3] * 4 + [5] * 4
+    assert [row["frames"] for row in rows] == [1] * 4 + [3] * 4 + [5] * 4
     single = run_sweep("pd-vs-uavs", with_overrides(config, frames=2))
-    assert [row.frames for row in single] == [2] * 4
+    assert [row["frames"] for row in single] == [2] * 4
 
 
 def test_snr_rows_analytic_column() -> None:
@@ -64,23 +64,23 @@ def test_snr_rows_analytic_column() -> None:
     rows = run_sweep("snr-vs-uavs", config)
     mean_one = mean_snr_at(config.query(), 1)
     for row in rows:
-        count = int(row.swept_value)
-        assert row.snr_db == pytest.approx(
+        count = row["uav_count"]
+        assert row["snr_db"] == pytest.approx(
             10.0 * math.log10(mean_one / count), rel=1e-12
         )
-        assert row.mc_snr_db is None  # trials = 0 disables sampling
+        assert "mc_snr_db" not in row  # trials = 0 disables sampling
 
 
 def test_snr_rows_mc_columns_track_analytic() -> None:
     config = parse_config("trials = 20000\nframes = 1\nsweep_stop = 3\n")
     rows = run_sweep("snr-vs-uavs", config)
     for row in rows:
-        assert row.mc_snr_db is not None
-        assert row.mc_snr_halfwidth_db is not None
-        assert abs(row.mc_snr_db - row.snr_db) < 1.0  # loose; MC is seeded
+        assert row["mc_snr_db"] is not None
+        assert row["mc_snr_halfwidth_db"] is not None
+        assert abs(row["mc_snr_db"] - row["snr_db"]) < 1.0  # loose; MC is seeded
         # closed-form 1/L split: the dB offset is identical down the curve
-        assert row.mc_snr_db - row.snr_db == pytest.approx(
-            rows[0].mc_snr_db - rows[0].snr_db, abs=1e-9
+        assert row["mc_snr_db"] - row["snr_db"] == pytest.approx(
+            rows[0]["mc_snr_db"] - rows[0]["snr_db"], abs=1e-9
         )
 
 
@@ -89,31 +89,31 @@ def test_pd_rows_exact_and_surrogate() -> None:
     rows = run_sweep("pd-vs-uavs", config)
     mean_one = mean_snr_at(config.query(), 1)
     for row in rows:
-        count = int(row.swept_value)
-        assert row.joint_pd_exact == pytest.approx(
+        count = row["uav_count"]
+        assert row["joint_pd_exact"] == pytest.approx(
             joint_pd(mean_one / count, count, config.pfa), rel=1e-12
         )
     # the surrogate is only defined where its argument stays in-window;
     # small counts sit outside it and leave the column empty
-    blank = [int(r.swept_value) for r in rows if r.joint_pd_surrogate is None]
-    filled = [int(r.swept_value) for r in rows if r.joint_pd_surrogate is not None]
+    blank = [r["uav_count"] for r in rows if "joint_pd_surrogate" not in r]
+    filled = [r["uav_count"] for r in rows if "joint_pd_surrogate" in r]
     assert blank and filled
     assert max(blank) < min(filled)
     for row in rows:
-        if row.joint_pd_surrogate is not None:
-            assert row.joint_pd_surrogate == pytest.approx(
-                row.joint_pd_exact, rel=0.2
+        if "joint_pd_surrogate" in row:
+            assert row["joint_pd_surrogate"] == pytest.approx(
+                row["joint_pd_exact"], rel=0.2
             )
 
 
 def test_capacity_vs_frames_columns() -> None:
     config = parse_config("sweep_stop = 4\n")
     rows = run_sweep("capacity-vs-frames", config)
-    assert [row.total_symbols for row in rows] == [14, 28, 42, 56]
-    caps = [row.snr_capacity for row in rows]
+    assert [row["total_symbols"] for row in rows] == [14, 28, 42, 56]
+    caps = [row["snr_capacity"] for row in rows]
     assert caps == sorted(caps)
-    assert all(row.pd_capacity >= 1 for row in rows)
-    assert all(row.joint_pd_at_pd_capacity >= config.pd_threshold for row in rows)
+    assert all(row["pd_capacity"] >= 1 for row in rows)
+    assert all(row["joint_pd_at_pd_capacity"] >= config.pd_threshold for row in rows)
 
 
 def test_csv_headers_reparse_to_config() -> None:

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 import uavcap.link
+import uavcap.validation
 from uavcap.config import parse_config
 from uavcap.link import PathlossConstant
 from uavcap.validation import (
@@ -114,3 +115,45 @@ def test_quartic_moment_quadrature_holds_across_geometries(
     moment = rows["inverse_quartic_range_moment"]
     assert moment.status == "pass"
     assert abs(moment.measured - moment.expected) <= 1e-12 * moment.expected
+
+
+TREND_CHECKS = (
+    "capacity_radius_monotone",
+    "snr_capacity_frames_proportional",
+    "pd_capacity_frames_monotone",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"cpi_symbols": "33", "radius_km": "3"},
+        {"radius_km": "1000", "radius_ratio": "1000"},
+    ],
+)
+def test_joint_pd_below_the_floor_at_one_uav_is_a_vacuous_pass(
+    overrides: dict[str, str],
+) -> None:
+    # The crossing is at count 1, so the curve has no second difference;
+    # this once raised and took the other trend checks down with it.
+    config = parse_config("", {"trials": "0", **overrides})
+    rows = {result.name: result for result in run_validation(config)}
+    assert "trend_checks" not in rows
+    assert [rows[name].status for name in TREND_CHECKS] == ["pass"] * 3
+    shape = rows["joint_pd_slow_then_sharp"]
+    assert shape.status == "pass"
+    assert shape.measured is None
+    assert "vacuous pass" in shape.detail
+
+
+def test_a_raising_trend_check_costs_only_its_own_row(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def broken(*args: object) -> float:
+        raise ValueError("broken")
+
+    monkeypatch.setattr(uavcap.validation, "joint_pd", broken)
+    rows = {r.name: r for r in run_validation(parse_config("", {"trials": "0"}))}
+    assert rows["joint_pd_slow_then_sharp"].status == "fail"
+    assert rows["joint_pd_slow_then_sharp"].detail == "ValueError: broken"
+    assert [rows[name].status for name in TREND_CHECKS] == ["pass"] * 3
