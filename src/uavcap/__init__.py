@@ -8,7 +8,6 @@ every closed form against an independent stochastic oracle.
 
 from .arrays import UpaGeometry, effective_channel_gain, mrc_pair, steering_vector
 from .capacity import (
-    CapacityBracketError,
     CapacityQuery,
     CapacityResult,
     capacity_under_pd_bisect,
@@ -23,6 +22,7 @@ from .detection import (
     SurrogateDomainError,
     joint_pd,
     log_joint_pd_surrogate,
+    log_pd_single,
     lrt_threshold,
     pd_single,
     q,
@@ -33,13 +33,10 @@ from .geometry import (
     Position,
     SensingRegion,
     expected_inverse_quartic_range,
-    make_region,
     position_pdf,
-    sample_position,
     sample_positions,
 )
 from .link import (
-    PathlossConstant,
     RadarLinkParams,
     mean_multi_uav_snr,
     mean_single_uav_snr,
@@ -60,7 +57,6 @@ from .validation import CheckResult, render_validation_csv, run_validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityBracketError",
     "CapacityQuery",
     "CapacityResult",
     "CheckResult",
@@ -69,7 +65,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DetectionSpec",
     "EmpiricalEstimate",
-    "PathlossConstant",
     "Position",
     "QApproxCoefficients",
     "RadarLinkParams",
@@ -85,8 +80,8 @@ __all__ = [
     "expected_inverse_quartic_range",
     "joint_pd",
     "log_joint_pd_surrogate",
+    "log_pd_single",
     "lrt_threshold",
-    "make_region",
     "mc_detection_rates",
     "mc_integration_energy",
     "mc_mean_snr",
@@ -106,7 +101,6 @@ __all__ = [
     "render_validation_csv",
     "run_sweep",
     "run_validation",
-    "sample_position",
     "sample_positions",
     "steering_vector",
     "__version__",

@@ -4,9 +4,10 @@ A fixed budget of total_symbols sensing symbols is split evenly across L
 targets, so the mean per-target SNR scales as 1/L. Under the SNR floor the
 capacity is a closed-form floor division. Under the joint-PD floor the
 objective L * ln Q(xi - sqrt(rho/L)) is monotone decreasing in L, and the
-capacity is found either by binary search on that objective (exact or
-surrogate form) or by a brute-force linear scan of the exact joint PD;
-the two must agree, which the validation suite checks on random scenarios.
+capacity is found either by a search seeded from a closed-form estimate
+(exact or surrogate objective) or by a brute-force linear scan of the exact
+objective; the two must agree, which the validation suite checks on random
+scenarios.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .detection import (
     SURROGATE_MODES,
     joint_pd,
     log_joint_pd_surrogate,
-    pd_single,
+    log_pd_single,
     q_inv,
 )
 from .geometry import SensingRegion
@@ -31,11 +32,12 @@ from .link import RadarLinkParams, SNR_MODES, db_to_linear, mean_multi_uav_snr
 _REL_SLACK = 1e-9
 
 
+# Raised by nothing: kept only because perfbench/workloads.py reads it at import.
 class CapacityBracketError(RuntimeError):
-    """Raised when no finite UAV count violates the constraint below the cap."""
+    """No solver raises this; the joint-PD search has no count cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityQuery:
     """One capacity question: scenario, constraints, symbol budget, modes."""
 
@@ -59,7 +61,7 @@ class CapacityQuery:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityResult:
     """Solver outcome.
 
@@ -98,7 +100,6 @@ def _log_joint_pd_objective(
     Surrogate modes fall back to the exact objective outside the surrogate
     validity window (xi - sqrt(rho/L) must lie in [-4, 0]).
     """
-    pfa = query.spec.pfa
     rho = 2.0 * mean_snr_one
 
     def objective(num_uavs: int) -> float:
@@ -109,7 +110,7 @@ def _log_joint_pd_objective(
                 )
             except SurrogateDomainError:
                 pass
-        return num_uavs * math.log(pd_single(mean_snr_one / num_uavs, pfa))
+        return num_uavs * log_pd_single(mean_snr_one / num_uavs, xi)
 
     return objective
 
@@ -156,16 +157,25 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
         return mean_one / num_uavs >= floor
 
     # The float floor of the bound is off by at most one below 2**53 UAVs
-    # and by up to half a float spacing above, so bracket it with doubling
-    # steps (low satisfied or 0, high violated) and bisect.
-    guess = math.floor(mean_one / floor)
-    low, high, step = guess, guess + 1, 1
-    while low >= 1 and not satisfied(low):
-        low, high, step = max(low - step, 0), low, 2 * step
-    while satisfied(high):
-        low, high, step = high, high + step, 2 * step
-    max_uavs = max_satisfying(satisfied, low, high)
+    # and by up to half a float spacing above.
+    max_uavs = _largest(satisfied, math.floor(mean_one / floor))
     return _make_result(query, mean_one, max_uavs, "snr", satisfied)
+
+
+def _largest(holds: Callable[[int], bool], guess: int) -> int:
+    """Largest count >= 1 satisfying a monotone predicate, or 0 if none.
+
+    Walks from guess >= 0 in doubling steps, down while the low end fails
+    and up while the high end holds, to a bracket (low holds or is 0, high
+    fails), then bisects it. The search has no cap: it ends wherever the
+    predicate does, and costs O(log |answer - guess|) evaluations.
+    """
+    low, high, step = guess, guess + 1, 1
+    while low >= 1 and not holds(low):
+        low, high, step = max(low - step, 0), low, 2 * step
+    while holds(high):
+        low, high, step = high, high + step, 2 * step
+    return max_satisfying(holds, low, high)
 
 
 def max_satisfying(
@@ -188,55 +198,45 @@ def max_satisfying(
     return low
 
 
-def capacity_under_pd_bisect(
-    query: CapacityQuery,
-    bounds: tuple[int, int] | None = None,
-    max_bound: int = 10**9,
-) -> CapacityResult:
-    """Largest L with ln(joint PD) >= ln(pd_threshold), by binary search.
+def _pd_guess(mean_one: float, xi: float, ln_floor: float) -> int:
+    """Estimate of the count where L * ln PD of one target crosses ln_floor.
+
+    (1 - miss)^L ~ exp(-L miss) puts the crossing where each target's miss
+    probability Q(sqrt(rho/L) - xi) equals -ln_floor / L, that is at
+    L = rho / (xi + Q^-1(-ln_floor / L))^2 with rho = 2 * mean_one. Four
+    fixed-point steps from L = mean_one land within a UAV or so in the
+    validate domain, and within about 1e-5 relative at 1e10 UAVs. A miss
+    budget outside (0, 1/2) stops them (the capacity is then a few UAVs,
+    or none), so Q^-1 is only called where it is finite and positive. An
+    infinite mean_one raises OverflowError.
+    """
+    guess = mean_one
+    for _ in range(4):
+        miss = -ln_floor / guess if guess > 0.0 else 1.0
+        if not 0.0 < miss < 0.5:
+            break
+        guess = 2.0 * (mean_one / (xi + q_inv(miss)) ** 2)
+    return math.floor(guess)
+
+
+def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
+    """Largest L with ln(joint PD) >= ln(pd_threshold), by a seeded search.
 
     The objective is evaluated per the query's surrogate mode ("exact"
-    uses L * ln pd_single directly). When bounds are given they should
-    bracket the crossing (objective >= ln threshold at bounds[0], < at
-    bounds[1]); an invalid bracket falls back to geometric expansion from
-    [1, 2], capped at max_bound (CapacityBracketError past the cap, which
-    only an unsatisfiable-by-no-L constraint can trigger).
+    uses L * ln PD of one target, in the log domain). The search starts at
+    the closed-form estimate of _pd_guess and needs no cap: with pfa > 0,
+    L * ln PD falls without bound as L grows, so a violating count exists.
     """
     mean_one = mean_snr_at(query, 1)
     xi = q_inv(query.spec.pfa)
     ln_floor = math.log(query.spec.pd_threshold)
+    floor = ln_floor - _REL_SLACK * abs(ln_floor)
     objective = _log_joint_pd_objective(query, mean_one, xi)
-    slack = _REL_SLACK * abs(ln_floor)
 
     def holds(num_uavs: int) -> bool:
-        return objective(num_uavs) >= ln_floor - slack
+        return objective(num_uavs) >= floor
 
-    if not holds(1):
-        return _make_result(query, mean_one, 0, "pd", holds)
-
-    best: int | None = None
-    if bounds is not None:
-        low, high = bounds
-        if low < 1 or high <= low:
-            raise ValueError(f"bounds must satisfy 1 <= low < high, got {bounds}")
-        # The low end is trusted (no evaluation); the high end is verified
-        # so a non-bracketing pair falls through to auto-expansion.
-        if not holds(high):
-            candidate = max_satisfying(holds, low, high)
-            # A bad trusted low end surfaces here; re-solve from scratch.
-            if holds(candidate) and not holds(candidate + 1):
-                best = candidate
-
-    if best is None:
-        low, high = 1, 2
-        while holds(high):
-            low, high = high, high * 2
-            if high > max_bound:
-                raise CapacityBracketError(
-                    f"joint-PD constraint not violated by any count up to {max_bound}"
-                )
-        best = max_satisfying(holds, low, high)
-
+    best = _largest(holds, _pd_guess(mean_one, xi, floor))
     return _make_result(query, mean_one, best, "pd", holds)
 
 
@@ -245,18 +245,18 @@ def capacity_under_pd_scan(
 ) -> CapacityResult:
     """Largest L with exact joint PD >= pd_threshold, by linear scan.
 
-    Ignores the surrogate mode: this is the independent brute-force route
-    used to validate the binary search. Stops at the iteration cap and
-    marks the result cap_reached (max_uavs is then only a lower bound).
+    Ignores the surrogate mode: this is the brute-force route used to
+    validate the seeded search. Stops at the iteration cap and marks the
+    result cap_reached (max_uavs is then only a lower bound).
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     mean_one = mean_snr_at(query, 1)
-    floor = query.spec.pd_threshold
-    pfa = query.spec.pfa
+    ln_floor = math.log(query.spec.pd_threshold)
+    xi = q_inv(query.spec.pfa)
 
     def holds(num_uavs: int) -> bool:
-        return joint_pd(mean_one / num_uavs, num_uavs, pfa) >= floor
+        return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= ln_floor
 
     num = 1
     while num <= cap and holds(num):

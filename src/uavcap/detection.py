@@ -31,7 +31,7 @@ class SurrogateDomainError(ValueError):
     """Raised when the surrogate is evaluated outside its validity regime."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionSpec:
     """Operating constraints: false-alarm cap, joint-PD floor, SNR floor (dB)."""
 
@@ -48,7 +48,7 @@ class DetectionSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QApproxCoefficients:
     """Coefficients of the exponential tail surrogate exp(-a x^2 - b x - c)."""
 
@@ -97,15 +97,30 @@ def pd_single(snr: float, pfa: float) -> float:
     return q(q_inv(pfa) - math.sqrt(2.0 * snr))
 
 
+def log_pd_single(snr: float, xi: float) -> float:
+    """ln PD of one target, ln Q(xi - sqrt(2 snr)), where xi = Q^-1(pfa).
+
+    While the miss probability Q(sqrt(2 snr) - xi) is below 1/2 this is
+    log1p(-miss), which stays accurate as PD nears 1; the log of PD rounded
+    to a double would lose accuracy in proportion to 1 / miss. Otherwise it
+    is ln Q(xi - sqrt(2 snr)) itself, -inf where Q underflows.
+    """
+    margin = math.sqrt(2.0 * snr) - xi
+    if margin >= 0.0:
+        return math.log1p(-q(margin))
+    pd = q(-margin)
+    return math.log(pd) if pd > 0.0 else -math.inf
+
+
 def joint_pd(mean_snr: float, num_uavs: int, pfa: float) -> float:
-    """Probability that all num_uavs targets are detected: pd_single^L.
+    """Probability that all num_uavs targets are detected: exp(L ln PD).
 
     Independence across targets holds because each gets disjoint sensing
     symbols. At snr = 0 this degenerates to pfa^L.
     """
     if num_uavs < 1:
         raise ValueError(f"num_uavs must be >= 1, got {num_uavs}")
-    return pd_single(mean_snr, pfa) ** num_uavs
+    return math.exp(num_uavs * log_pd_single(mean_snr, q_inv(pfa)))
 
 
 def q_exp_approx(

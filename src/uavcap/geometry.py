@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 DENSITY_MODES = ("normalized", "unnormalized")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensingRegion:
     """Geometry of the surveilled volume.
 
@@ -58,20 +58,13 @@ class SensingRegion:
         return self.max_range / self.radius_ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """Spherical coordinates of one target: range (km), elevation and azimuth (rad)."""
 
     range_km: float
     elevation_rad: float
     azimuth_rad: float
-
-
-def make_region(
-    max_range: float, radius_ratio: float, max_elevation: float
-) -> SensingRegion:
-    """Validated constructor for SensingRegion."""
-    return SensingRegion(max_range, radius_ratio, max_elevation)
 
 
 def _check_mode(mode: str) -> None:
@@ -162,12 +155,6 @@ def sample_ranges(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return _ranges_from_unit(region, rng.random(count))
-
-
-def sample_position(region: SensingRegion, rng: np.random.Generator) -> Position:
-    """Draw a single position (same transform and draw order as sample_positions)."""
-    ranges, elevations, azimuths = sample_positions(region, rng, 1)
-    return Position(float(ranges[0]), float(elevations[0]), float(azimuths[0]))
 
 
 def expected_inverse_quartic_range(region: SensingRegion) -> float:

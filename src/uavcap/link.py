@@ -33,11 +33,6 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def dbm_to_mw(dbm: float) -> float:
-    """Power in mW from dBm."""
-    return 10.0 ** (dbm / 10.0)
-
-
 def noise_power_dbm_from_density(density_dbm_hz: float, bandwidth_mhz: float) -> float:
     """Total noise power over the band: density + 10 log10(bandwidth in Hz)."""
     if not bandwidth_mhz > 0.0:
@@ -45,7 +40,7 @@ def noise_power_dbm_from_density(density_dbm_hz: float, bandwidth_mhz: float) ->
     return density_dbm_hz + 10.0 * math.log10(bandwidth_mhz * 1e6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadarLinkParams:
     """Scenario-level link parameters.
 
@@ -76,26 +71,16 @@ class RadarLinkParams:
 
     @property
     def tx_power_mw(self) -> float:
-        return dbm_to_mw(self.tx_power_dbm)
+        return db_to_linear(self.tx_power_dbm)
 
     @property
     def noise_power_mw(self) -> float:
-        return dbm_to_mw(self.noise_power_dbm)
+        return db_to_linear(self.noise_power_dbm)
 
     @property
     def gain_amplitude(self) -> float:
         """Linear amplitude kappa."""
         return db_to_linear(self.combined_gain_db)
-
-
-@dataclass(frozen=True)
-class PathlossConstant:
-    """eps_pl with the units it was derived under pinned alongside the value."""
-
-    value: float
-    freq_unit: str = "MHz"
-    distance_unit: str = "km"
-    rcs_unit: str = "m^2"
 
 
 def path_loss_db(freq_mhz: float, distance_km: float, rcs_m2: float) -> float:
@@ -114,8 +99,9 @@ def path_loss_db(freq_mhz: float, distance_km: float, rcs_m2: float) -> float:
     )
 
 
-def pathloss_constant(freq_mhz: float, rcs_m2: float) -> PathlossConstant:
-    """eps_pl = 10^10.34 * f^2 / rcs so that beta^2(d) = 1/(eps_pl d^4).
+def pathloss_constant(freq_mhz: float, rcs_m2: float) -> float:
+    """eps_pl = 10^10.34 * f^2 / rcs (f in MHz, rcs in m^2, d in km) so that
+    beta^2(d) = 1/(eps_pl d^4).
 
     Consistency with path_loss_db: 10 log10(value * d^4) == path_loss_db(f, d, rcs)
     for every d.
@@ -124,12 +110,12 @@ def pathloss_constant(freq_mhz: float, rcs_m2: float) -> PathlossConstant:
         raise ValueError(f"freq_mhz must be > 0, got {freq_mhz}")
     if not rcs_m2 > 0.0:
         raise ValueError(f"rcs_m2 must be > 0, got {rcs_m2}")
-    return PathlossConstant(10.0**10.34 * freq_mhz**2 / rcs_m2)
+    return 10.0**10.34 * freq_mhz**2 / rcs_m2
 
 
 def path_gain_squared(params: RadarLinkParams, distance_km: float) -> float:
     """beta^2(d), the two-way linear power gain at range d."""
-    eps_pl = pathloss_constant(params.carrier_freq_mhz, params.rcs_m2).value
+    eps_pl = pathloss_constant(params.carrier_freq_mhz, params.rcs_m2)
     if not distance_km > 0.0:
         raise ValueError(f"distance_km must be > 0, got {distance_km}")
     return 1.0 / (eps_pl * distance_km**4)

@@ -14,13 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .capacity import (
-    CapacityBracketError,
-    capacity_under_pd_bisect,
-    capacity_under_snr,
-    mean_snr_at,
-)
-from .config import ScenarioConfig, render_csv, with_overrides
+from .capacity import capacity_under_pd_bisect, capacity_under_snr, mean_snr_at
+from .config import ConfigError, ScenarioConfig, render_csv, with_overrides
 from .detection import SurrogateDomainError, joint_pd, log_joint_pd_surrogate, q_inv
 from .link import linear_to_db
 from .montecarlo import mc_mean_snr
@@ -60,11 +55,14 @@ _KINDS = {
 SWEEP_KINDS = tuple(_KINDS)
 
 # Failures that should become an error row rather than abort the sweep.
-_ROW_ERRORS = (ValueError, CapacityBracketError, ZeroDivisionError, OverflowError)
+_ROW_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
-    """Inclusive sweep grid for `kind`, from config overrides or defaults."""
+    """Inclusive sweep grid for `kind`, from config overrides or defaults.
+
+    A grid the kind cannot take raises ConfigError naming the key set.
+    """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {kind!r}")
     start, stop, step = _KINDS[kind].grid
@@ -75,13 +73,17 @@ def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
     if config.sweep_step is not None:
         step = config.sweep_step
     if stop < start:
-        raise ValueError(f"sweep stop {stop:g} is below start {start:g}")
+        # parse_config rejects both keys set this way, so one is a default.
+        key = "sweep_start" if config.sweep_stop is None else "sweep_stop"
+        raise ConfigError(f"{key}: {kind} sweep stop {stop:g} is below start {start:g}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     values = [start + i * step for i in range(count)]
     if _KINDS[kind].integer:
         for value in values:
             if not float(value).is_integer():
-                raise ValueError(f"{kind} sweep needs integer points, got {value:g}")
+                # The first point is the start; any later one is off by the step.
+                key = "sweep_start" if value == start else "sweep_step"
+                raise ConfigError(f"{key}: {kind} sweep needs integer points, got {value:g}")
     return values
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from uavcap.capacity import (
-    CapacityBracketError,
     CapacityQuery,
     capacity_under_pd_bisect,
     capacity_under_pd_scan,
@@ -16,8 +16,8 @@ from uavcap.capacity import (
     mean_snr_at,
     snr_budget,
 )
-from uavcap.detection import DetectionSpec, joint_pd
-from uavcap.geometry import make_region
+from uavcap.detection import SURROGATE_MODES, DetectionSpec, joint_pd
+from uavcap.geometry import SensingRegion
 from uavcap.link import RadarLinkParams, db_to_linear, linear_to_db
 
 # Frozen capacities for the reference scenario at 14 total symbols.
@@ -32,7 +32,7 @@ RHO_NORMALIZED = 722.0448042763454
 def _query(**overrides: object) -> CapacityQuery:
     base = dict(
         link=RadarLinkParams(),
-        region=make_region(1.0, 10.0, math.pi / 5.0),
+        region=SensingRegion(1.0, 10.0, math.pi / 5.0),
         spec=DetectionSpec(),
         total_symbols=14,
     )
@@ -127,25 +127,73 @@ def test_pd_capacity_zero_when_even_one_fails() -> None:
     assert result.achieved_joint_pd < 0.95
 
 
-def test_bisect_accepts_valid_bounds() -> None:
-    result = capacity_under_pd_bisect(_query(), bounds=(1, 64))
-    assert result.max_uavs == PD_CAPACITY_NORMALIZED
+@pytest.mark.parametrize("pfa, pd_threshold", [(0.05, 0.95), (0.01, 0.8), (0.2, 0.99)])
+def test_pd_capacity_meets_a_log_ndtr_reference_up_to_1e10_uavs(
+    pfa: float, pd_threshold: float
+) -> None:
+    # Budgets of 1 to 1.4e10 symbols (1e9 frames) give capacities of 3 to
+    # about 1e10 UAVs.
+    # The reference ln joint PD is L * ln Phi(sqrt(2 rho_1 / L) - xi), from
+    # scipy; counts whose reference lies within the solver's 1e-9 relative
+    # slack of ln P_th may go either way.
+    spec = DetectionSpec(pfa=pfa, pd_threshold=pd_threshold)
+    xi = -float(special.ndtri(pfa))
+    ln_floor = math.log(pd_threshold)
+    for total_symbols in np.geomspace(1.0, 14e9, 357):
+        query = _query(spec=spec, total_symbols=int(total_symbols))
+        mean_one = mean_snr_at(query, 1)
+        count = capacity_under_pd_bisect(query).max_uavs
+        for k, holds in ((count, True), (count + 1, False)):
+            if k < 1:
+                continue
+            ln_pd = k * float(special.log_ndtr(math.sqrt(2.0 * mean_one / k) - xi))
+            if abs(ln_pd - ln_floor) > 1e-9 * abs(ln_floor):
+                assert (ln_pd >= ln_floor) == holds, (total_symbols, count, k)
 
 
-def test_bisect_recovers_from_invalid_bounds() -> None:
-    # High end does not bracket: falls back to auto-expansion.
-    assert capacity_under_pd_bisect(_query(), bounds=(1, 8)).max_uavs == 33
-    # Low end is past the crossing: the trusted value is caught and re-solved.
-    assert capacity_under_pd_bisect(_query(), bounds=(40, 64)).max_uavs == 33
-    with pytest.raises(ValueError, match="bounds"):
-        capacity_under_pd_bisect(_query(), bounds=(0, 8))
-    with pytest.raises(ValueError, match="bounds"):
-        capacity_under_pd_bisect(_query(), bounds=(8, 8))
+def test_pd_capacity_at_vanishing_pfa_and_power() -> None:
+    # PD is then about pfa = 1e-300: ln PD comes from ln Q, since log1p of
+    # minus a miss probability of 1 is out of its domain.
+    weak = replace(RadarLinkParams(), tx_power_dbm=-400.0)
+    query = _query(link=weak, spec=DetectionSpec(pfa=1e-300))
+    result = capacity_under_pd_bisect(query)
+    assert result.max_uavs == 0
+    assert result.achieved_joint_pd == pytest.approx(1e-300, rel=1e-6)
 
 
-def test_bisect_bracket_cap() -> None:
-    with pytest.raises(CapacityBracketError):
-        capacity_under_pd_bisect(_query(), max_bound=4)
+@settings(max_examples=300, deadline=None)
+@given(
+    pfa=st.one_of(
+        st.floats(-300.0, -0.302).map(lambda exponent: 10.0**exponent),
+        st.floats(0.4, 0.5, exclude_max=True),
+    ),
+    pd_threshold=st.one_of(
+        st.floats(-300.0, -1e-3).map(lambda exponent: 10.0**exponent),
+        st.floats(1e-16, 0.5).map(lambda miss: 1.0 - miss),
+    ),
+    tx_power_dbm=st.floats(-400.0, 3200.0),
+    frames=st.integers(1, 10**9),
+    surrogate_mode=st.sampled_from(SURROGATE_MODES),
+)
+def test_pd_capacity_solves_across_the_accepted_domain(
+    pfa: float, pd_threshold: float, tx_power_dbm: float, frames: int,
+    surrogate_mode: str,
+) -> None:
+    query = _query(
+        link=replace(RadarLinkParams(), tx_power_dbm=tx_power_dbm),
+        spec=DetectionSpec(pfa=pfa, pd_threshold=pd_threshold),
+        total_symbols=14 * frames,
+        surrogate_mode=surrogate_mode,
+    )
+    try:
+        finite = math.isfinite(mean_snr_at(query, 1))
+    except OverflowError:
+        finite = False
+    if finite:
+        assert capacity_under_pd_bisect(query).max_uavs >= 0
+    else:
+        with pytest.raises(OverflowError):
+            capacity_under_pd_bisect(query)
 
 
 def test_scan_cap_reports_lower_bound() -> None:
@@ -205,7 +253,7 @@ def test_bisect_agrees_with_scan(
 ) -> None:
     query = _query(
         link=replace(RadarLinkParams(), tx_power_dbm=tx_power_dbm),
-        region=make_region(radius_km, 10.0, math.pi / 5.0),
+        region=SensingRegion(radius_km, 10.0, math.pi / 5.0),
         spec=DetectionSpec(pd_threshold=pd_threshold),
         total_symbols=total_symbols,
     )

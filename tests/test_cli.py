@@ -111,14 +111,47 @@ def test_parser_lists_all_commands() -> None:
         assert name in text
 
 
+def _table(out: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+
+
 def test_frames_budget_past_1e9_uavs_gives_rows(capsys) -> None:
     code = main(
         ["capacity-vs-frames", "--set", "sweep_start=70000000",
-         "--set", "sweep_stop=70000000"]
+         "--set", "sweep_stop=1000000000", "--set", "sweep_step=930000000"]
     )
-    rows = capsys.readouterr().out.splitlines()
+    rows = _table(capsys.readouterr().out)
     assert code == 0
-    assert rows[-1].startswith("70000000,")
+    assert [(row["frames"], row["pd_capacity"]) for row in rows] == [
+        ("70000000", "776189494"), ("1000000000", "10113966866"),
+    ]
+    for row in rows:
+        assert row["status"] == "ok"
+        assert float(row["joint_pd_at_pd_capacity"]) >= 0.95
+    code = main(
+        ["capacity-vs-power", "--set", "sweep_start=120", "--set", "sweep_stop=150",
+         "--set", "sweep_step=10"]
+    )
+    rows = _table(capsys.readouterr().out)
+    assert code == 0
+    assert [row["status"] for row in rows] == ["ok"] * 4
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("pd-vs-uavs", "sweep_step=0.5"), ("snr-vs-uavs", "sweep_start=0.5"),
+     ("capacity-vs-power", "sweep_stop=5")],
+)
+def test_a_grid_the_sweep_cannot_take_is_a_config_error(
+    command: str, override: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main([command, "--trials", "0", "--set", override])
+    captured = capsys.readouterr()
+    key = override.partition("=")[0]
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"uavcap: {key}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,7 @@ from uavcap.geometry import (
     SensingRegion,
     contains,
     expected_inverse_quartic_range,
-    make_region,
     position_pdf,
-    sample_position,
     sample_positions,
     sample_ranges,
 )
@@ -34,15 +32,15 @@ class _FixedUniform:
         return self._block
 
 
-def test_make_region_validates_arguments() -> None:
+def test_sensing_region_validates_arguments() -> None:
     with pytest.raises(ValueError, match="max_range"):
-        make_region(0.0, 10.0, 0.5)
+        SensingRegion(0.0, 10.0, 0.5)
     with pytest.raises(ValueError, match="radius_ratio"):
-        make_region(1.0, 1.0, 0.5)
+        SensingRegion(1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="max_elevation"):
-        make_region(1.0, 10.0, 0.0)
+        SensingRegion(1.0, 10.0, 0.0)
     with pytest.raises(ValueError, match="max_elevation"):
-        make_region(1.0, 10.0, math.pi / 2.0 + 0.01)
+        SensingRegion(1.0, 10.0, math.pi / 2.0 + 0.01)
 
 
 def test_inner_range(reference_region: SensingRegion) -> None:
@@ -113,7 +111,7 @@ def test_pdf_total_mass_quadrature(
 
 
 def test_inverse_quartic_closed_form_matches_quadrature() -> None:
-    region = make_region(1.7, 6.0, 1.1)
+    region = SensingRegion(1.7, 6.0, 1.1)
     e3 = region.radius_ratio**3
     marginal = lambda r: 3.0 * e3 * r * r / (region.max_range**3 * (e3 - 1.0))
     oracle, _ = integrate.quad(
@@ -133,14 +131,18 @@ def test_inverse_quartic_reference_value(reference_region: SensingRegion) -> Non
 
 def test_sampler_endpoints(reference_region: SensingRegion) -> None:
     region = reference_region
-    low = sample_position(region, _FixedUniform(np.zeros((1, 3))))
-    assert low.range_km == pytest.approx(region.inner_range, rel=1e-12)
-    assert low.elevation_rad == 0.0
-    assert low.azimuth_rad == 0.0
-    high = sample_position(region, _FixedUniform(np.ones((1, 3))))
-    assert high.range_km == pytest.approx(region.max_range, rel=1e-12)
-    assert high.elevation_rad == pytest.approx(region.max_elevation, rel=1e-12)
-    assert high.azimuth_rad == pytest.approx(math.pi, rel=1e-12)
+    (low_range,), (low_elevation,), (low_azimuth,) = sample_positions(
+        region, _FixedUniform(np.zeros((1, 3))), 1
+    )
+    assert low_range == pytest.approx(region.inner_range, rel=1e-12)
+    assert low_elevation == 0.0
+    assert low_azimuth == 0.0
+    (high_range,), (high_elevation,), (high_azimuth,) = sample_positions(
+        region, _FixedUniform(np.ones((1, 3))), 1
+    )
+    assert high_range == pytest.approx(region.max_range, rel=1e-12)
+    assert high_elevation == pytest.approx(region.max_elevation, rel=1e-12)
+    assert high_azimuth == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_sampler_marginals_pass_ks(reference_region: SensingRegion) -> None:
@@ -167,7 +169,7 @@ def test_sampler_rejects_negative_count(reference_region: SensingRegion) -> None
 
 
 def test_sample_ranges_follow_radial_cdf() -> None:
-    region = make_region(1.7, 6.0, 1.1)
+    region = SensingRegion(1.7, 6.0, 1.1)
     n = 20_000
     ranges = sample_ranges(region, substream(97531, 1, 0), n)
     inner3, outer3 = region.inner_range**3, region.max_range**3
@@ -195,7 +197,7 @@ def test_sample_ranges_consume_count_uniforms(
 def test_samples_land_in_support(
     max_range: float, radius_ratio: float, max_elevation: float, seed: int
 ) -> None:
-    region = make_region(max_range, radius_ratio, max_elevation)
+    region = SensingRegion(max_range, radius_ratio, max_elevation)
     ranges, elevations, azimuths = sample_positions(
         region, np.random.default_rng(seed), 200
     )
@@ -216,6 +218,6 @@ def test_inverse_quartic_bounded_by_extremes(
     radius_ratio: float, max_range: float
 ) -> None:
     # E[r^-4] must lie between the values at the two range extremes.
-    region = make_region(max_range, radius_ratio, 0.5)
+    region = SensingRegion(max_range, radius_ratio, 0.5)
     value = expected_inverse_quartic_range(region)
     assert region.max_range**-4 <= value <= region.inner_range**-4

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcap.geometry import SensingRegion, make_region
+from uavcap.geometry import SensingRegion
 from uavcap.link import (
     RadarLinkParams,
     db_to_linear,
-    dbm_to_mw,
     linear_to_db,
     mean_multi_uav_snr,
     mean_single_uav_snr,
@@ -34,7 +33,7 @@ MEAN_SNR_UNNORMALIZED = 45.47220936943298
 def test_db_helpers_round_trip() -> None:
     assert db_to_linear(0.0) == 1.0
     assert linear_to_db(db_to_linear(13.0)) == pytest.approx(13.0, abs=1e-12)
-    assert dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
+    assert db_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
     with pytest.raises(ValueError):
         linear_to_db(0.0)
 
@@ -62,11 +61,11 @@ def test_path_loss_rejects_bad_units() -> None:
 
 
 def test_pathloss_constant_values_and_units() -> None:
+    # 1 MHz and 1 m^2 give the bare 10^10.34 of the km-based path loss.
     unit = pathloss_constant(1.0, 1.0)
-    assert unit.value == pytest.approx(PATHLOSS_CONSTANT_UNIT, rel=1e-14)
-    assert (unit.freq_unit, unit.distance_unit, unit.rcs_unit) == ("MHz", "km", "m^2")
+    assert unit == pytest.approx(PATHLOSS_CONSTANT_UNIT, rel=1e-14)
     reference = pathloss_constant(4900.0, 0.01)
-    assert reference.value == pytest.approx(PATHLOSS_CONSTANT_REFERENCE, rel=1e-14)
+    assert reference == pytest.approx(PATHLOSS_CONSTANT_REFERENCE, rel=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,7 +76,7 @@ def test_pathloss_constant_values_and_units() -> None:
 )
 def test_pathloss_routes_agree(freq: float, distance: float, rcs: float) -> None:
     # beta^2 consistency: 10^(-PL/10) * eps_pl * d^4 == 1.
-    eps_pl = pathloss_constant(freq, rcs).value
+    eps_pl = pathloss_constant(freq, rcs)
     product = 10.0 ** (-path_loss_db(freq, distance, rcs) / 10.0) * eps_pl * distance**4
     assert product == pytest.approx(1.0, rel=1e-9)
 
@@ -163,7 +162,7 @@ def test_mean_multi_scales_with_budget_split(
     total_symbols: int, num_uavs: int, scale: int
 ) -> None:
     link = RadarLinkParams()
-    region = make_region(1.0, 10.0, math.pi / 5.0)
+    region = SensingRegion(1.0, 10.0, math.pi / 5.0)
     base = mean_multi_uav_snr(link, region, total_symbols, num_uavs)
     more_symbols = mean_multi_uav_snr(link, region, total_symbols * scale, num_uavs)
     more_uavs = mean_multi_uav_snr(link, region, total_symbols, num_uavs * scale)

@@ -6,7 +6,6 @@ import pytest
 import uavcap.link
 import uavcap.validation
 from uavcap.config import parse_config
-from uavcap.link import PathlossConstant
 from uavcap.validation import (
     STATUSES,
     _density_checks,
@@ -66,8 +65,8 @@ def test_snr_check_catches_a_link_budget_defect(
     # derives its own); the cross-check must notice the 30 dB gap.
     real = uavcap.link.pathloss_constant
 
-    def corrupted(freq_mhz: float, rcs_m2: float) -> PathlossConstant:
-        return PathlossConstant(real(freq_mhz, rcs_m2).value * 1e3)
+    def corrupted(freq_mhz: float, rcs_m2: float) -> float:
+        return real(freq_mhz, rcs_m2) * 1e3
 
     monkeypatch.setattr(uavcap.link, "pathloss_constant", corrupted)
     results = run_validation(parse_config("trials = 20000\n"))
