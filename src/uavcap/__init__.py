@@ -16,9 +16,7 @@ from .capacity import (
 )
 from .config import DEFAULT_SEED, ConfigError, ScenarioConfig, parse_config
 from .detection import (
-    DEFAULT_Q_COEFFS,
     DetectionSpec,
-    QApproxCoefficients,
     SurrogateDomainError,
     joint_pd,
     log_joint_pd_surrogate,
@@ -61,12 +59,10 @@ __all__ = [
     "CapacityResult",
     "CheckResult",
     "ConfigError",
-    "DEFAULT_Q_COEFFS",
     "DEFAULT_SEED",
     "DetectionSpec",
     "EmpiricalEstimate",
     "Position",
-    "QApproxCoefficients",
     "RadarLinkParams",
     "ScenarioConfig",
     "SensingRegion",

@@ -2,9 +2,9 @@
 
 Steering vectors are returned as unit-norm complex ndarrays of length
 elements_x * elements_y, ordered elevation-major (np.kron(elev, azim)).
-Phase model uses half-wavelength spacing by default: the direction sines
-are sin(azimuth)sin(elevation) along the y axis and
-sin(azimuth)cos(elevation) along the x axis.
+Elements sit half a wavelength apart, and the direction sines are
+sin(azimuth)sin(elevation) along the y axis and sin(azimuth)cos(elevation)
+along the x axis.
 """
 
 from __future__ import annotations
@@ -18,23 +18,21 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+# Element spacing in wavelengths.
+_SPACING = 0.5
+
 
 @dataclass(frozen=True)
 class UpaGeometry:
-    """elements_x x elements_y array with spacing in wavelengths."""
+    """elements_x x elements_y array at half-wavelength spacing."""
 
     elements_x: int
     elements_y: int
-    element_spacing: float = 0.5
 
     def __post_init__(self) -> None:
         if self.elements_x < 1 or self.elements_y < 1:
             raise ValueError(
                 f"element counts must be >= 1, got {self.elements_x}x{self.elements_y}"
-            )
-        if not self.element_spacing > 0.0:
-            raise ValueError(
-                f"element_spacing must be > 0, got {self.element_spacing}"
             )
 
     @property
@@ -50,7 +48,7 @@ def steering_vector(
 
     sin_e = math.sin(azimuth) * math.sin(elevation)
     sin_a = math.sin(azimuth) * math.cos(elevation)
-    phase = 2.0j * math.pi * upa.element_spacing
+    phase = 2.0j * math.pi * _SPACING
     elev = np.exp(phase * sin_e * np.arange(upa.elements_y)) / math.sqrt(
         upa.elements_y
     )
@@ -81,24 +79,16 @@ def effective_channel_gain(
     elevation: float,
     path_amplitude: float,
     uavs_per_symbol: int = 1,
-    probe_azimuth: float | None = None,
-    probe_elevation: float | None = None,
 ) -> complex:
     """Scalar w^H H f for the rank-one channel H = path_amplitude * a a^H.
 
-    With the combiner/precoder matched to the true direction (probe angles
-    omitted) this collapses to path_amplitude / sqrt(uavs_per_symbol)
-    exactly, for any array size. Passing probe angles steers w and f away
-    from the channel's direction, which quantifies mismatch loss.
+    With the combiner/precoder matched to the channel's direction this
+    collapses to path_amplitude / sqrt(uavs_per_symbol) exactly, for any
+    array size.
     """
     if path_amplitude < 0.0:
         raise ValueError(f"path_amplitude must be >= 0, got {path_amplitude}")
-    w, f = mrc_pair(
-        upa,
-        azimuth if probe_azimuth is None else probe_azimuth,
-        elevation if probe_elevation is None else probe_elevation,
-        uavs_per_symbol,
-    )
+    w, f = mrc_pair(upa, azimuth, elevation, uavs_per_symbol)
     a = steering_vector(upa, azimuth, elevation)
     # w^H (beta a a^H) f without forming the size x size outer product.
     return complex(path_amplitude * (w.conj() @ a) * (a.conj() @ f))

@@ -25,8 +25,8 @@ from .detection import (
     log_pd_single,
     q_inv,
 )
-from .geometry import SensingRegion
-from .link import RadarLinkParams, SNR_MODES, db_to_linear, mean_multi_uav_snr
+from .geometry import SensingRegion, check_density_mode
+from .link import RadarLinkParams, db_to_linear, mean_multi_uav_snr
 
 # Relative slack for post-hoc boundary checks on continuous quantities.
 _REL_SLACK = 1e-9
@@ -45,16 +45,15 @@ class CapacityQuery:
     region: SensingRegion
     spec: DetectionSpec
     total_symbols: int
-    snr_mode: str = "normalized"
-    surrogate_mode: str = "exact"
+    snr_mode: str
+    surrogate_mode: str
 
     def __post_init__(self) -> None:
         if self.total_symbols < 1:
             raise ValueError(
                 f"total_symbols must be >= 1, got {self.total_symbols}"
             )
-        if self.snr_mode not in SNR_MODES:
-            raise ValueError(f"snr_mode must be one of {SNR_MODES}, got {self.snr_mode!r}")
+        check_density_mode(self.snr_mode, "snr_mode")
         if self.surrogate_mode not in SURROGATE_MODES:
             raise ValueError(
                 f"surrogate_mode must be one of {SURROGATE_MODES}, got {self.surrogate_mode!r}"
@@ -85,11 +84,6 @@ def mean_snr_at(query: CapacityQuery, num_uavs: int) -> float:
     return mean_multi_uav_snr(
         query.link, query.region, query.total_symbols, num_uavs, query.snr_mode
     )
-
-
-def snr_budget(query: CapacityQuery) -> float:
-    """rho = 2 * L * SNR_L, invariant under the symbol re-split."""
-    return 2.0 * mean_snr_at(query, 1)
 
 
 def _log_joint_pd_objective(

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .capacity import CapacityQuery
 from .detection import DetectionSpec, SURROGATE_MODES
-from .geometry import SensingRegion
-from .link import RadarLinkParams, SNR_MODES, noise_power_dbm_from_density
+from .geometry import DENSITY_MODES, SensingRegion
+from .link import RadarLinkParams, noise_power_dbm_from_density
 from .montecarlo import TrialPlan
 
 DEFAULT_SEED = 20260816
@@ -87,7 +87,7 @@ class ScenarioConfig:
     pd_threshold: float = _key(0.95, low=0.0, high=1.0, low_open=True, high_open=True)
     snr_threshold_db: float = _key(13.0)
     symbols_per_frame: int = _key(14, low=1)
-    snr_mode: str = _key("normalized", choices=SNR_MODES)
+    snr_mode: str = _key("normalized", choices=DENSITY_MODES)
     surrogate_mode: str = _key("exact", choices=SURROGATE_MODES)
     trials: int = _key(100_000, low=0)
     seed: int = _key(DEFAULT_SEED, low=0)

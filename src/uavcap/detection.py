@@ -35,9 +35,9 @@ class SurrogateDomainError(ValueError):
 class DetectionSpec:
     """Operating constraints: false-alarm cap, joint-PD floor, SNR floor (dB)."""
 
-    pfa: float = 0.05
-    pd_threshold: float = 0.95
-    snr_threshold_db: float = 13.0
+    pfa: float
+    pd_threshold: float
+    snr_threshold_db: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pfa < 0.5:
@@ -48,20 +48,10 @@ class DetectionSpec:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class QApproxCoefficients:
-    """Coefficients of the exponential tail surrogate exp(-a x^2 - b x - c)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-
-
-DEFAULT_Q_COEFFS = QApproxCoefficients(a=0.3842, b=0.7640, c=0.6964)
+# Coefficients of the exponential tail surrogate Q(x) ~ exp(-a x^2 - b x - c).
+SURROGATE_A = 0.3842
+SURROGATE_B = 0.7640
+SURROGATE_C = 0.6964
 
 # The surrogate is a good approximation of Q only on |x| <= 4.
 SURROGATE_X_MAX = 4.0
@@ -123,9 +113,7 @@ def joint_pd(mean_snr: float, num_uavs: int, pfa: float) -> float:
     return math.exp(num_uavs * log_pd_single(mean_snr, q_inv(pfa)))
 
 
-def q_exp_approx(
-    x: float, coeffs: QApproxCoefficients = DEFAULT_Q_COEFFS
-) -> float:
+def q_exp_approx(x: float) -> float:
     """Exponential surrogate for Q(x), valid on |x| <= SURROGATE_X_MAX.
 
     Negative arguments use the reflection 1 - approx(-x), which keeps
@@ -136,8 +124,8 @@ def q_exp_approx(
             f"|x| must be <= {SURROGATE_X_MAX}, got {x}"
         )
     if x < 0.0:
-        return 1.0 - q_exp_approx(-x, coeffs)
-    return math.exp(-coeffs.a * x * x - coeffs.b * x - coeffs.c)
+        return 1.0 - q_exp_approx(-x)
+    return math.exp(-SURROGATE_A * x * x - SURROGATE_B * x - SURROGATE_C)
 
 
 def log_joint_pd_surrogate(
@@ -145,7 +133,6 @@ def log_joint_pd_surrogate(
     xi: float,
     num_uavs: int,
     mode: str = "expanded",
-    coeffs: QApproxCoefficients = DEFAULT_Q_COEFFS,
 ) -> float:
     """Closed-form surrogate for ln(joint PD) as a function of the UAV count.
 
@@ -159,12 +146,10 @@ def log_joint_pd_surrogate(
       - a xi^2 + b xi - c, the symbolic expansion of
       -a x^2 - b x - c (algebraically identical to evaluating the
       surrogate at x).
-    - mode "fixed": exponent = -0.3842 rho/L + (0.7684 xi - 0.764)
-      sqrt(rho/L) + 0.3798 xi - 0.6964, a fixed coefficient set kept for
-      comparison. Its constant term is NOT the expansion of the default
-      coefficients (that would be -0.3842 xi^2 + 0.764 xi - 0.6964); the
-      two variants differ by the constant factor exp(a xi^2 - 0.3842 xi),
-      about 1.503 at pfa = 0.05.
+    - mode "fixed": the same terms in rho/L, then + 0.3798 xi - c, a
+      historical tail kept for comparison. It is NOT the expansion's tail
+      (-a xi^2 + b xi - c); the two variants differ by the constant factor
+      exp(a xi^2 - b xi + 0.3798 xi), about 1.503 at pfa = 0.05.
 
     Valid only where x = xi - sqrt(rho/L) lies in [-SURROGATE_X_MAX, 0];
     outside that window a SurrogateDomainError is raised and callers fall
@@ -181,13 +166,13 @@ def log_joint_pd_surrogate(
         raise SurrogateDomainError(
             f"xi - sqrt(rho/L) = {x} outside [-{SURROGATE_X_MAX}, 0]"
         )
+    a, b, c = SURROGATE_A, SURROGATE_B, SURROGATE_C
+    # The two modes share the terms in rho/L; they differ only in the tail.
+    exponent = -a * ratio + (2.0 * a * xi - b) * root
     if mode == "expanded":
-        a, b, c = coeffs.a, coeffs.b, coeffs.c
-        exponent = -a * ratio + (2.0 * a * xi - b) * root - a * xi * xi + b * xi - c
+        exponent = exponent - a * xi * xi + b * xi - c
     elif mode == "fixed":
-        exponent = (
-            -0.3842 * ratio + (0.7684 * xi - 0.764) * root + 0.3798 * xi - 0.6964
-        )
+        exponent = exponent + 0.3798 * xi - c
     else:
         raise ValueError(f"mode must be 'expanded' or 'fixed', got {mode!r}")
     return -num_uavs * math.exp(exponent)

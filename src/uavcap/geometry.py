@@ -67,9 +67,17 @@ class Position:
     azimuth_rad: float
 
 
-def _check_mode(mode: str) -> None:
+def check_density_mode(mode: str, name: str = "mode") -> None:
+    """Reject a density mode outside DENSITY_MODES, naming the argument."""
     if mode not in DENSITY_MODES:
-        raise ValueError(f"mode must be one of {DENSITY_MODES}, got {mode!r}")
+        raise ValueError(f"{name} must be one of {DENSITY_MODES}, got {mode!r}")
+
+
+def density_mass(region: SensingRegion, mode: str) -> float:
+    """Integral of the mode's density over the region: 1, or sin(max_elevation)
+    for ``"unnormalized"``."""
+    check_density_mode(mode)
+    return math.sin(region.max_elevation) if mode == "unnormalized" else 1.0
 
 
 def contains(region: SensingRegion, pos: Position) -> bool:
@@ -91,7 +99,7 @@ def position_pdf(
     over the support is sin(max_elevation); ``"normalized"`` divides that
     factor out.
     """
-    _check_mode(mode)
+    check_density_mode(mode)
     if not contains(region, pos):
         return 0.0
     e3 = region.radius_ratio**3

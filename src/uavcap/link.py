@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import SensingRegion, expected_inverse_quartic_range
-
-SNR_MODES = ("normalized", "unnormalized")
+from .geometry import SensingRegion, density_mass, expected_inverse_quartic_range
 
 
 def db_to_linear(db: float) -> float:
@@ -51,13 +49,13 @@ class RadarLinkParams:
     per-target transmit power share is tx_power / K).
     """
 
-    tx_power_dbm: float = 58.0
-    combined_gain_db: float = 22.5
-    noise_power_dbm: float = -94.0
-    carrier_freq_mhz: float = 4900.0
-    rcs_m2: float = 0.01
-    cpi_symbols: int = 3
-    uavs_per_symbol: int = 1
+    tx_power_dbm: float
+    combined_gain_db: float
+    noise_power_dbm: float
+    carrier_freq_mhz: float
+    rcs_m2: float
+    cpi_symbols: int
+    uavs_per_symbol: int
 
     def __post_init__(self) -> None:
         if not self.carrier_freq_mhz > 0.0:
@@ -138,39 +136,15 @@ def per_uav_snr(params: RadarLinkParams, distance_km: float) -> float:
     )
 
 
-def _check_snr_mode(mode: str) -> None:
-    if mode not in SNR_MODES:
-        raise ValueError(f"mode must be one of {SNR_MODES}, got {mode!r}")
-
-
 def mean_single_uav_snr(
     params: RadarLinkParams, region: SensingRegion, mode: str = "normalized"
 ) -> float:
-    """Mean over the region of per_uav_snr for one target (linear).
-
-    Closed form: kappa^2 N P_T E[d^-4] / (K eps_pl sigma^2). In
-    ``"unnormalized"`` mode the value carries the extra sin(max_elevation)
-    factor of the unnormalized density, i.e. it is the integral of
-    per_uav_snr against that density rather than a true expectation.
-
-    eps_pl is written out inline rather than routed through
-    pathloss_constant so that this closed form and the sampling route stay
-    independent (a unit defect on either side shows up as a mismatch).
-    """
-    _check_snr_mode(mode)
-    kappa = params.gain_amplitude
-    eps_pl = 10.0**10.34 * params.carrier_freq_mhz**2 / params.rcs_m2
-    value = (
-        kappa
-        * kappa
-        * params.cpi_symbols
-        * (params.tx_power_mw / params.uavs_per_symbol)
-        * expected_inverse_quartic_range(region)
-        / (eps_pl * params.noise_power_mw)
+    """Mean over the region of per_uav_snr for one target (linear): the
+    mean_multi_uav_snr of the params' own split, cpi_symbols symbols across
+    uavs_per_symbol targets."""
+    return mean_multi_uav_snr(
+        params, region, params.cpi_symbols, params.uavs_per_symbol, mode
     )
-    if mode == "unnormalized":
-        value *= math.sin(region.max_elevation)
-    return value
 
 
 def mean_multi_uav_snr(
@@ -185,25 +159,27 @@ def mean_multi_uav_snr(
 
     Each target gets N = total_symbols * K / num_uavs coherent symbols at
     power P_T / K, so K cancels and the value is
-    kappa^2 T P_T E[d^-4] / (L eps_pl sigma^2) (times sin(max_elevation)
-    in ``"unnormalized"`` mode). Reduces to mean_single_uav_snr when
-    total_symbols * K == cpi_symbols * num_uavs.
+    kappa^2 T P_T E[d^-4] / (L eps_pl sigma^2), times the density_mass of
+    the mode: in ``"unnormalized"`` mode the value carries the extra
+    sin(max_elevation) of that density, i.e. it is the integral of
+    per_uav_snr against it rather than a true expectation.
+
+    eps_pl is written out inline rather than routed through
+    pathloss_constant so that this closed form and the sampling route stay
+    independent (a unit defect on either side shows up as a mismatch).
     """
-    _check_snr_mode(mode)
     if total_symbols < 1:
         raise ValueError(f"total_symbols must be >= 1, got {total_symbols}")
     if num_uavs < 1:
         raise ValueError(f"num_uavs must be >= 1, got {num_uavs}")
     kappa = params.gain_amplitude
     eps_pl = 10.0**10.34 * params.carrier_freq_mhz**2 / params.rcs_m2
-    value = (
+    return (
         kappa
         * kappa
         * (total_symbols / num_uavs)
         * params.tx_power_mw
         * expected_inverse_quartic_range(region)
         / (eps_pl * params.noise_power_mw)
+        * density_mass(region, mode)
     )
-    if mode == "unnormalized":
-        value *= math.sin(region.max_elevation)
-    return value

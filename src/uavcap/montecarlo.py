@@ -48,6 +48,7 @@ _CHUNK = 4096
 TAG_POSITIONS = 1
 TAG_DETECTION = 2
 TAG_ENERGY = 3
+TAG_SCENARIOS = 4  # the random scenarios of validate's solver agreement check
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .capacity import capacity_under_pd_bisect, capacity_under_snr, mean_snr_at
 from .config import ConfigError, ScenarioConfig, render_csv, with_overrides
 from .detection import SurrogateDomainError, joint_pd, log_joint_pd_surrogate, q_inv
+from .geometry import density_mass
 from .link import linear_to_db
 from .montecarlo import mc_mean_snr
 
@@ -100,14 +101,10 @@ def _uav_count_rows(
     xi = q_inv(config.pfa)
     surrogate_mode = _surrogate_column_mode(config)
     with_mc = kind == "snr-vs-uavs" and config.trials > 0
-    # In unnormalized mode the sampled estimate (an expectation under the
-    # normalized density) is scaled by sin(max_elevation) so the MC column
-    # estimates the same quantity as the analytic column.
-    mode_factor = (
-        math.sin(config.max_elevation_rad)
-        if config.snr_mode == "unnormalized"
-        else 1.0
-    )
+    # The sampled estimate is an expectation under the normalized density;
+    # scaling it by the mode's mass makes the MC column estimate the same
+    # quantity as the analytic column.
+    mode_factor = density_mass(config.region(), config.snr_mode)
     for ordinal, frames in enumerate(config.frame_curves):
         try:
             query = config.query(frames=frames)

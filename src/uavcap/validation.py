@@ -25,6 +25,7 @@ from .capacity import (
 from .config import ScenarioConfig, render_csv, with_overrides
 from .detection import joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
+    DENSITY_MODES,
     Position,
     SensingRegion,
     expected_inverse_quartic_range,
@@ -35,16 +36,13 @@ from .link import linear_to_db, mean_single_uav_snr, path_gain_squared
 from .montecarlo import (
     EmpiricalEstimate,
     TAG_POSITIONS,
+    TAG_SCENARIOS,
     confidence_z,
     mc_detection_rates,
     mc_integration_energy,
     mc_mean_snr,
     substream,
 )
-
-# Substream tag for the random scenarios of the solver agreement check
-# (montecarlo reserves 1..3 for its estimators).
-_TAG_SCENARIOS = 4
 
 STATUSES = ("pass", "fail", "inconclusive")
 
@@ -356,7 +354,7 @@ def _q_approx_check(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
-    rng = substream(config.seed, _TAG_SCENARIOS, 0)
+    rng = substream(config.seed, TAG_SCENARIOS, 0)
     mismatches = 0
     worst = 0
     for _ in range(50):
@@ -393,7 +391,7 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
     for radius in (0.9, 1.05, 1.2):
         for power in (56.0, 58.0):
             for floor in (0.9, 0.95, 0.99):
-                for mode in ("normalized", "unnormalized"):
+                for mode in DENSITY_MODES:
                     scenario = with_overrides(
                         config,
                         radius_km=radius,

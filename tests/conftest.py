@@ -1,23 +1,16 @@
-import math
-
 import pytest
 
-from uavcap import DetectionSpec, RadarLinkParams, SensingRegion, parse_config
+from uavcap import RadarLinkParams, SensingRegion, parse_config
 
 
 @pytest.fixture
 def reference_region() -> SensingRegion:
-    return SensingRegion(max_range=1.0, radius_ratio=10.0, max_elevation=math.pi / 5.0)
+    return parse_config("").region()
 
 
 @pytest.fixture
 def reference_link() -> RadarLinkParams:
-    return RadarLinkParams()
-
-
-@pytest.fixture
-def reference_spec() -> DetectionSpec:
-    return DetectionSpec()
+    return parse_config("").link()
 
 
 @pytest.fixture

@@ -24,7 +24,9 @@ from uavcap.capacity import (
 from uavcap.cli import main
 from uavcap.config import DEFAULT_SEED, parse_config
 from uavcap.detection import (
-    DEFAULT_Q_COEFFS,
+    SURROGATE_A,
+    SURROGATE_B,
+    SURROGATE_C,
     SurrogateDomainError,
     joint_pd,
     log_joint_pd_surrogate,
@@ -217,7 +219,7 @@ def test_criterion_05_q_surrogate_quality() -> None:
     )
     with pytest.raises(SurrogateDomainError):
         log_joint_pd_surrogate(1.0, q_inv(0.05), 10**6, "expanded")
-    coeffs_ok = (DEFAULT_Q_COEFFS.a, DEFAULT_Q_COEFFS.b, DEFAULT_Q_COEFFS.c) == (
+    coeffs_ok = (SURROGATE_A, SURROGATE_B, SURROGATE_C) == (
         0.3842,
         0.764,
         0.6964,

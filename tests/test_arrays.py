@@ -19,8 +19,6 @@ angles = st.floats(-math.pi, math.pi)
 def test_geometry_validation() -> None:
     with pytest.raises(ValueError, match="element counts"):
         UpaGeometry(0, 16)
-    with pytest.raises(ValueError, match="spacing"):
-        UpaGeometry(4, 4, element_spacing=0.0)
     assert UpaGeometry(24, 16).size == 384
 
 
@@ -42,7 +40,7 @@ def test_steering_vector_kron_order() -> None:
     upa = UpaGeometry(3, 2)
     azimuth, elevation = 0.9, 0.4
     vec = steering_vector(upa, azimuth, elevation)
-    phase = 2.0j * math.pi * upa.element_spacing
+    phase = 1.0j * math.pi  # half-wavelength spacing
     sin_e = math.sin(azimuth) * math.sin(elevation)
     sin_a = math.sin(azimuth) * math.cos(elevation)
     # Entry (m_y * elements_x + m_x) factors into the two axis responses.
@@ -87,17 +85,6 @@ def test_matched_gain_other_array_sizes() -> None:
     for nx, ny in [(1, 1), (2, 5), (16, 16)]:
         gain = effective_channel_gain(UpaGeometry(nx, ny), 1.1, 0.4, 3e-10)
         assert abs(gain - 3e-10) <= 1e-12 * 3e-10
-
-
-def test_mismatched_probe_loses_gain() -> None:
-    upa = UpaGeometry(24, 16)
-    matched = effective_channel_gain(upa, 0.8, 0.3, 1.0)
-    off = effective_channel_gain(
-        upa, 0.8, 0.3, 1.0, probe_azimuth=0.8 + 0.2, probe_elevation=0.3
-    )
-    assert abs(off) < abs(matched)
-    # A large array's main lobe is narrow: a 0.2 rad miss costs most of it.
-    assert abs(off) < 0.2 * abs(matched)
 
 
 def test_gain_rejects_negative_amplitude() -> None:

@@ -14,11 +14,11 @@ from uavcap.capacity import (
     capacity_under_snr,
     max_satisfying,
     mean_snr_at,
-    snr_budget,
 )
-from uavcap.detection import SURROGATE_MODES, DetectionSpec, joint_pd
+from uavcap.config import parse_config
+from uavcap.detection import SURROGATE_MODES, joint_pd
 from uavcap.geometry import SensingRegion
-from uavcap.link import RadarLinkParams, db_to_linear, linear_to_db
+from uavcap.link import db_to_linear, linear_to_db
 
 # Frozen capacities for the reference scenario at 14 total symbols.
 SNR_CAPACITY_NORMALIZED = 18
@@ -29,15 +29,14 @@ SNR_THRESHOLD_LINEAR = 19.952623149688797
 RHO_NORMALIZED = 722.0448042763454
 
 
+# The reference scenario: one frame of 14 symbols.
+REFERENCE = parse_config("")
+LINK = REFERENCE.link()
+SPEC = REFERENCE.detection()
+
+
 def _query(**overrides: object) -> CapacityQuery:
-    base = dict(
-        link=RadarLinkParams(),
-        region=SensingRegion(1.0, 10.0, math.pi / 5.0),
-        spec=DetectionSpec(),
-        total_symbols=14,
-    )
-    base.update(overrides)
-    return CapacityQuery(**base)  # type: ignore[arg-type]
+    return replace(REFERENCE.query(), **overrides)  # type: ignore[arg-type]
 
 
 def test_query_validation() -> None:
@@ -49,8 +48,8 @@ def test_query_validation() -> None:
         _query(surrogate_mode="rederived")
 
 
-def test_snr_budget_reference() -> None:
-    assert snr_budget(_query()) == pytest.approx(RHO_NORMALIZED, rel=1e-12)
+def test_load_invariant_rho_reference() -> None:
+    assert 2.0 * mean_snr_at(_query(), 1) == pytest.approx(RHO_NORMALIZED, rel=1e-12)
     assert db_to_linear(13.0) == pytest.approx(SNR_THRESHOLD_LINEAR, rel=1e-14)
 
 
@@ -67,13 +66,13 @@ def test_capacity_under_snr_boundary_exact() -> None:
     # A budget exactly at the threshold supports exactly one target.
     query = _query()
     budget = mean_snr_at(query, 1)
-    spec = DetectionSpec(snr_threshold_db=linear_to_db(budget))
+    spec = replace(SPEC, snr_threshold_db=linear_to_db(budget))
     result = capacity_under_snr(_query(spec=spec))
     assert result.max_uavs == 1
 
 
 def test_capacity_under_snr_zero_when_unreachable() -> None:
-    weak = replace(RadarLinkParams(), tx_power_dbm=-30.0)
+    weak = replace(LINK, tx_power_dbm=-30.0)
     result = capacity_under_snr(_query(link=weak))
     assert result.max_uavs == 0
     # Diagnostics report the single-target operating point.
@@ -93,7 +92,7 @@ def test_capacity_under_snr_floor_at_large_budgets() -> None:
     # Budgets of about 1e9 to 1e12 UAVs, where a ratio within the predicate's
     # 1e-9 slack below an integer used to fail the post-hoc check; the last
     # budgets lie past 2**53 UAVs, where floats no longer resolve one UAV.
-    threshold = db_to_linear(DetectionSpec().snr_threshold_db)
+    threshold = db_to_linear(SPEC.snr_threshold_db)
     per_symbol = mean_snr_at(_query(total_symbols=1), 1) / threshold
     for total_symbols in [*np.geomspace(1e9, 1e12, 300) / per_symbol, 1e17, 1e20]:
         query = _query(total_symbols=int(total_symbols))
@@ -121,7 +120,7 @@ def test_pd_capacity_reference_values() -> None:
 
 
 def test_pd_capacity_zero_when_even_one_fails() -> None:
-    weak = replace(RadarLinkParams(), tx_power_dbm=-30.0)
+    weak = replace(LINK, tx_power_dbm=-30.0)
     result = capacity_under_pd_bisect(_query(link=weak))
     assert result.max_uavs == 0
     assert result.achieved_joint_pd < 0.95
@@ -136,7 +135,7 @@ def test_pd_capacity_meets_a_log_ndtr_reference_up_to_1e10_uavs(
     # The reference ln joint PD is L * ln Phi(sqrt(2 rho_1 / L) - xi), from
     # scipy; counts whose reference lies within the solver's 1e-9 relative
     # slack of ln P_th may go either way.
-    spec = DetectionSpec(pfa=pfa, pd_threshold=pd_threshold)
+    spec = replace(SPEC, pfa=pfa, pd_threshold=pd_threshold)
     xi = -float(special.ndtri(pfa))
     ln_floor = math.log(pd_threshold)
     for total_symbols in np.geomspace(1.0, 14e9, 357):
@@ -154,8 +153,8 @@ def test_pd_capacity_meets_a_log_ndtr_reference_up_to_1e10_uavs(
 def test_pd_capacity_at_vanishing_pfa_and_power() -> None:
     # PD is then about pfa = 1e-300: ln PD comes from ln Q, since log1p of
     # minus a miss probability of 1 is out of its domain.
-    weak = replace(RadarLinkParams(), tx_power_dbm=-400.0)
-    query = _query(link=weak, spec=DetectionSpec(pfa=1e-300))
+    weak = replace(LINK, tx_power_dbm=-400.0)
+    query = _query(link=weak, spec=replace(SPEC, pfa=1e-300))
     result = capacity_under_pd_bisect(query)
     assert result.max_uavs == 0
     assert result.achieved_joint_pd == pytest.approx(1e-300, rel=1e-6)
@@ -180,8 +179,8 @@ def test_pd_capacity_solves_across_the_accepted_domain(
     surrogate_mode: str,
 ) -> None:
     query = _query(
-        link=replace(RadarLinkParams(), tx_power_dbm=tx_power_dbm),
-        spec=DetectionSpec(pfa=pfa, pd_threshold=pd_threshold),
+        link=replace(LINK, tx_power_dbm=tx_power_dbm),
+        spec=replace(SPEC, pfa=pfa, pd_threshold=pd_threshold),
         total_symbols=14 * frames,
         surrogate_mode=surrogate_mode,
     )
@@ -252,9 +251,9 @@ def test_bisect_agrees_with_scan(
     tx_power_dbm: float, radius_km: float, pd_threshold: float, total_symbols: int
 ) -> None:
     query = _query(
-        link=replace(RadarLinkParams(), tx_power_dbm=tx_power_dbm),
+        link=replace(LINK, tx_power_dbm=tx_power_dbm),
         region=SensingRegion(radius_km, 10.0, math.pi / 5.0),
-        spec=DetectionSpec(pd_threshold=pd_threshold),
+        spec=replace(SPEC, pd_threshold=pd_threshold),
         total_symbols=total_symbols,
     )
     assert (
@@ -265,7 +264,7 @@ def test_bisect_agrees_with_scan(
 
 def test_capacity_monotone_in_threshold() -> None:
     capacities = [
-        capacity_under_pd_bisect(_query(spec=DetectionSpec(pd_threshold=t))).max_uavs
+        capacity_under_pd_bisect(_query(spec=replace(SPEC, pd_threshold=t))).max_uavs
         for t in (0.9, 0.95, 0.99)
     ]
     assert capacities[0] >= capacities[1] >= capacities[2]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from uavcap.config import parse_config
 from uavcap.detection import (
-    DEFAULT_Q_COEFFS,
-    DetectionSpec,
-    QApproxCoefficients,
+    SURROGATE_A,
+    SURROGATE_B,
+    SURROGATE_C,
     SurrogateDomainError,
     joint_pd,
     log_joint_pd_surrogate,
@@ -127,13 +129,12 @@ def test_joint_pd_reference_and_edges() -> None:
 
 
 def test_spec_and_coefficients_validation() -> None:
+    spec = parse_config("").detection()
     with pytest.raises(ValueError, match="pfa"):
-        DetectionSpec(pfa=0.5)
+        replace(spec, pfa=0.5)
     with pytest.raises(ValueError, match="pd_threshold"):
-        DetectionSpec(pd_threshold=1.0)
-    with pytest.raises(ValueError, match="a must be"):
-        QApproxCoefficients(a=0.0, b=1.0, c=1.0)
-    assert DEFAULT_Q_COEFFS == QApproxCoefficients(0.3842, 0.7640, 0.6964)
+        replace(spec, pd_threshold=1.0)
+    assert (SURROGATE_A, SURROGATE_B, SURROGATE_C) == (0.3842, 0.7640, 0.6964)
 
 
 def test_q_exp_approx_accuracy_grid() -> None:

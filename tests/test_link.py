@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavcap.config import parse_config
 from uavcap.geometry import SensingRegion
 from uavcap.link import (
     RadarLinkParams,
@@ -81,13 +82,13 @@ def test_pathloss_routes_agree(freq: float, distance: float, rcs: float) -> None
     assert product == pytest.approx(1.0, rel=1e-9)
 
 
-def test_link_params_validation() -> None:
+def test_link_params_validation(reference_link: RadarLinkParams) -> None:
     with pytest.raises(ValueError, match="cpi_symbols"):
-        RadarLinkParams(cpi_symbols=0)
+        replace(reference_link, cpi_symbols=0)
     with pytest.raises(ValueError, match="uavs_per_symbol"):
-        RadarLinkParams(uavs_per_symbol=0)
+        replace(reference_link, uavs_per_symbol=0)
     with pytest.raises(ValueError, match="rcs"):
-        RadarLinkParams(rcs_m2=-1.0)
+        replace(reference_link, rcs_m2=-1.0)
 
 
 def test_gain_amplitude_convention(reference_link: RadarLinkParams) -> None:
@@ -161,8 +162,8 @@ def test_mean_multi_reduces_to_single(
 def test_mean_multi_scales_with_budget_split(
     total_symbols: int, num_uavs: int, scale: int
 ) -> None:
-    link = RadarLinkParams()
-    region = SensingRegion(1.0, 10.0, math.pi / 5.0)
+    reference = parse_config("")
+    link, region = reference.link(), reference.region()
     base = mean_multi_uav_snr(link, region, total_symbols, num_uavs)
     more_symbols = mean_multi_uav_snr(link, region, total_symbols * scale, num_uavs)
     more_uavs = mean_multi_uav_snr(link, region, total_symbols, num_uavs * scale)

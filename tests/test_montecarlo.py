@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavcap.config import parse_config
 from uavcap.detection import pd_single
 from uavcap.geometry import SensingRegion
 from uavcap.link import RadarLinkParams, mean_single_uav_snr, path_gain_squared
@@ -197,7 +198,7 @@ KERNEL_PINS = [
 def test_kernels_reproduce_pinned_estimates(pin: tuple, workers: int) -> None:
     cpi, seed, *expected = pin
     plan = TrialPlan(10_000, seed)
-    link = replace(RadarLinkParams(), cpi_symbols=cpi)
+    link = replace(parse_config("").link(), cpi_symbols=cpi)
     amplitude = math.sqrt(path_gain_squared(link, 1.0))
     pd_est, pfa_est = mc_detection_rates(2.0, 0.05, cpi, plan, workers)
     energy = mc_integration_energy(link, amplitude, plan, workers)
@@ -231,7 +232,7 @@ ZERO_AMPLITUDE_ENERGY_PINS = [
 )
 def test_zero_amplitude_energy_reproduces_pinned_sums(pin: tuple, workers: int) -> None:
     cpi, seed, mean, half_width = pin
-    link = replace(RadarLinkParams(), cpi_symbols=cpi)
+    link = replace(parse_config("").link(), cpi_symbols=cpi)
     est = mc_integration_energy(link, 0.0, TrialPlan(10_000, seed), workers)
     assert (est.mean, est.half_width) == (mean, half_width)
 
