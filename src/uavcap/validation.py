@@ -287,7 +287,8 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
     amplitude = math.sqrt(path_gain_squared(base, config.radius_km))
     z = confidence_z(config.confidence)
     results = []
-    snr_points: list[tuple[int, float]] = []
+    # (N, energy-derived SNR, its standard error) per symbol count.
+    snr_points: list[tuple[int, float, float]] = []
     slope_ok = True
     for n in counts:
         link = replace(base, cpi_symbols=n)
@@ -316,20 +317,39 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
                     "signal energy grows as N^2, noise as N",
                 )
             )
-        empirical_snr = est.mean / (n * link.noise_power_mw) - 1.0
+        noise = n * link.noise_power_mw
+        empirical_snr = est.mean / noise - 1.0
         if empirical_snr > 0.0:
-            snr_points.append((n, empirical_snr))
+            snr_points.append((n, empirical_snr, est.half_width / z / noise))
 
     if slope_ok and len(snr_points) == len(counts):
-        logs = np.log([n for n, _ in snr_points])
-        vals = np.log([s for _, s in snr_points])
+        logs = np.log([n for n, _, _ in snr_points])
+        vals = np.log([snr for _, snr, _ in snr_points])
         slope = float(np.polyfit(logs, vals, 1)[0])
-        results.append(
-            _quantitative(
-                "integration_snr_slope", slope, 1.0, 0.05,
-                "log-log slope of energy-derived SNR vs symbol count",
+        # The least-squares slope is sum(w_i ln SNR_i) with weights
+        # w_i = (x_i - mean x) / sum((x_j - mean x)^2), x = ln N, and each
+        # ln SNR_i has standard error SE(SNR_i) / SNR_i. At a faint echo the
+        # SNR is a small difference of two near-equal energies, so it is
+        # the slope's own error, not the energies', that decides resolution.
+        centered = logs - logs.mean()
+        weights = centered / (centered @ centered)
+        rel_se = np.array([se / snr for _, snr, se in snr_points])
+        slope_se = float(np.sqrt(np.sum((weights * rel_se) ** 2)))
+        if 3.0 * slope_se > 0.05:
+            results.append(
+                CheckResult(
+                    "integration_snr_slope", "inconclusive", slope, 1.0, 0.05,
+                    f"inconclusive: slope too uncertain (3 SE = {3.0 * slope_se:.2g}"
+                    " > 0.05)",
+                )
             )
-        )
+        else:
+            results.append(
+                _quantitative(
+                    "integration_snr_slope", slope, 1.0, 0.05,
+                    "log-log slope of energy-derived SNR vs symbol count",
+                )
+            )
     else:
         results.append(
             CheckResult(

@@ -30,7 +30,7 @@ _PINS = {
     ("k4_unnormalized", "capacity-vs-radius"): (0, "83635982df29dbe11c7ae0ebd80fbe2d05ba2206c77fb726c7e94b92bb8b4c35"),
     ("k4_unnormalized", "capacity-vs-frames"): (0, "50b58d7148c494ec322d459e6e745360017b56fb6f0c8b50c95bec513c2cbc88"),
     ("k4_unnormalized", "capacity-vs-power"): (0, "82248c35aeec6dce37a93077a9474f000ca68e68852c9278e5d2a38d44908e6c"),
-    ("k4_unnormalized", "validate"): (0, "6d0d50fc553a4ece0be2794636f8217522b75b60d1b726f710df4363db4c3b36"),
+    ("k4_unnormalized", "validate"): (0, "c463beb6887ca55d420e5ef0fafa6f9b5a339917e28a441a088a0d17d74df2f8"),
     ("fixed_pfa01", "snr-vs-uavs"): (0, "0c0eba7ce9757d3bdb91a95635e4de7156b1a5dc79134f459293a3ee65cd3b97"),
     ("fixed_pfa01", "pd-vs-uavs"): (0, "27540ead7b360f89a564af84e553df4436eb0806a11b351915ddbb30f90aa192"),
     ("fixed_pfa01", "capacity-vs-radius"): (0, "9ee96703cd1019514adb07cacc75e4b2a5c9fa653e5784b2ac4dde1589d8b73b"),

@@ -1,14 +1,18 @@
 import csv
+import math
 import warnings
 
 import pytest
 
 import uavcap.link
 import uavcap.validation
+from uavcap.cli import main
 from uavcap.config import parse_config
 from uavcap.validation import (
     STATUSES,
+    CheckResult,
     _density_checks,
+    _integration_checks,
     failed_checks,
     render_validation_csv,
     run_validation,
@@ -156,3 +160,37 @@ def test_a_raising_trend_check_costs_only_its_own_row(
     assert rows["joint_pd_slow_then_sharp"].status == "fail"
     assert rows["joint_pd_slow_then_sharp"].detail == "ValueError: broken"
     assert [rows[name].status for name in TREND_CHECKS] == ["pass"] * 3
+
+
+def _slope_row(config) -> CheckResult:
+    rows = {r.name: r for r in _integration_checks(config)}
+    return rows["integration_snr_slope"]
+
+
+def test_a_slope_too_uncertain_to_resolve_is_inconclusive_not_fail(capsys) -> None:
+    # At 3 km the echo is far below the noise, so each energy-derived SNR
+    # is a small difference of two near-equal energies: the slope reads
+    # about 0.88, but its 3 SE (about 0.33) dwarfs the 0.05 tolerance.
+    assert main(["validate", "--set", "radius_km=3"]) == 0
+    assert ",fail," not in capsys.readouterr().out
+    slope = _slope_row(parse_config("", {"radius_km": "3"}))
+    assert slope.status == "inconclusive"
+    assert slope.tolerance == 0.05
+    assert "3 SE = 0.33 > 0.05" in slope.detail
+
+
+def test_an_incoherent_energy_kernel_still_fails_the_slope(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A kernel whose summed signal amplitude grows as sqrt(N), so that its
+    # signal energy grows as N rather than N^2, flattens the slope to about
+    # 0; the reference point resolves that as a fail, not an inconclusive.
+    real = uavcap.validation.mc_integration_energy
+
+    def incoherent(link, amplitude, plan, workers, salt):
+        return real(link, amplitude / math.sqrt(link.cpi_symbols), plan, workers, salt)
+
+    monkeypatch.setattr(uavcap.validation, "mc_integration_energy", incoherent)
+    slope = _slope_row(parse_config(""))
+    assert slope.status == "fail"
+    assert abs(slope.measured) < 0.05
