@@ -58,11 +58,16 @@ SWEEP_KINDS = tuple(_KINDS)
 # Failures that should become an error row rather than abort the sweep.
 _ROW_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
+# The most points one sweep grid may have; larger grids are a ConfigError.
+MAX_SWEEP_POINTS = 10**6
+
 
 def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
     """Inclusive sweep grid for `kind`, from config overrides or defaults.
 
-    A grid the kind cannot take raises ConfigError naming the key set.
+    A grid the kind cannot take raises ConfigError naming the key set,
+    among them one of more than MAX_SWEEP_POINTS points, which is counted
+    before any point is built.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {kind!r}")
@@ -77,7 +82,17 @@ def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
         # parse_config rejects both keys set this way, so one is a default.
         key = "sweep_start" if config.sweep_stop is None else "sweep_stop"
         raise ConfigError(f"{key}: {kind} sweep stop {stop:g} is below start {start:g}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        # Name a key that was set, the step first. (The span may be inf.)
+        key = next(
+            key for key in ("sweep_step", "sweep_stop", "sweep_start")
+            if getattr(config, key) is not None
+        )
+        raise ConfigError(
+            f"{key}: {kind} sweep grid has more than {MAX_SWEEP_POINTS} points"
+        )
+    count = int(math.floor(span)) + 1
     values = [start + i * step for i in range(count)]
     if _KINDS[kind].integer:
         for value in values:

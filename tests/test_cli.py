@@ -1,4 +1,8 @@
 import csv
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +156,36 @@ def test_a_grid_the_sweep_cannot_take_is_a_config_error(
     assert captured.out == ""
     assert captured.err.startswith(f"uavcap: {key}: ")
     assert captured.err.count("\n") == 1
+
+
+def _run_in_capped_child(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m uavcap.cli` in a child process whose address space is
+    capped at 1 GiB, so a grid that does get built fails fast there."""
+    src = str(Path(uavcap.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "uavcap.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("capacity-vs-radius", "sweep_step=1e-300"), ("pd-vs-uavs", "sweep_stop=1e300")],
+)
+def test_a_grid_too_large_to_build_exits_2_before_building_it(
+    command: str, override: str
+) -> None:
+    proc = _run_in_capped_child(command, "--trials", "0", "--set", override)
+    key = override.partition("=")[0]
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"uavcap: {key}: {command} sweep grid has more than")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

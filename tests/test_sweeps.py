@@ -4,9 +4,10 @@ import math
 import pytest
 
 from uavcap.capacity import mean_snr_at
-from uavcap.config import parse_config, with_overrides
+from uavcap.config import ConfigError, parse_config, with_overrides
 from uavcap.detection import joint_pd
 from uavcap.sweeps import (
+    MAX_SWEEP_POINTS,
     SWEEP_KINDS,
     render_sweep_csv,
     run_sweep,
@@ -39,6 +40,29 @@ def test_grid_overrides_and_validation() -> None:
         sweep_values("pd-vs-uavs", parse_config("sweep_step = 0.5\n"))
     with pytest.raises(ValueError, match="kind must be one of"):
         sweep_values("pd-vs-time", config)
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        # One point past the limit; were it built, it would still be small.
+        (f"sweep_stop = {MAX_SWEEP_POINTS + 1}\n", "sweep_stop"),
+        (f"sweep_stop = 2\nsweep_step = {1.0 / MAX_SWEEP_POINTS}\n", "sweep_step"),
+        # (stop - start) overflows to inf.
+        ("sweep_start = -1e308\nsweep_stop = 1e308\n", "sweep_stop"),
+    ],
+)
+def test_a_grid_past_the_point_limit_is_a_config_error(document: str, key: str) -> None:
+    with pytest.raises(ConfigError, match=f"^{key}: .* more than {MAX_SWEEP_POINTS} points"):
+        sweep_values("capacity-vs-radius", parse_config(document))
+
+
+def test_a_grid_at_the_point_limit_is_counted_not_refused() -> None:
+    values = sweep_values("capacity-vs-radius", parse_config(
+        f"sweep_start = 1\nsweep_stop = {MAX_SWEEP_POINTS}\n"
+        "sweep_step = 1\n"
+    ))
+    assert len(values) == MAX_SWEEP_POINTS
 
 
 def test_error_rows_do_not_abort_sweep() -> None:
