@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavcap
 from uavcap.config import (
     _KEYS,
     DEFAULT_SEED,
@@ -263,3 +264,12 @@ def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
     assert len(documented) == len(set(documented)) == 26
+
+
+def test_readme_library_section_names_only_exported_names() -> None:
+    section = README.read_text(encoding="utf-8").split("## Library")[1]
+    spans = re.findall(r"`([^`]+)`", section.split("\n## ")[0])
+    # A span such as `run_sweep(kind, config)` names its leading identifier.
+    names = {re.match(r"\w*", span).group() for span in spans}
+    assert names <= set(uavcap.__all__), names - set(uavcap.__all__)
+    assert "RadarLinkParams" in names and "parse_config" in names
