@@ -92,7 +92,6 @@ class ScenarioConfig:
     trials: int = _key(100_000, low=0)
     seed: int = _key(DEFAULT_SEED, low=0)
     confidence: float = _key(0.99, low=0.0, high=1.0, low_open=True, high_open=True)
-    workers: int = _key(1, low=1)
     frames: int = _key(1, low=1)
     sweep_start: float | None = _key(None)
     sweep_stop: float | None = _key(None)

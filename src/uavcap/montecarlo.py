@@ -5,13 +5,15 @@ salt, trial count). Trials are processed in fixed chunks of _CHUNK. Philox
 is counter-based, so chunk i needs no per-chunk seeding: its substream is
 Philox seeded by SeedSequence(master_seed, spawn_key=(tag, salt)), built
 once and cached, and started at counter i << 128. That is draw for draw
-the stream of Philox(SeedSequence(...)).jumped(i). Each worker thread
-builds one generator per estimator call and re-seats it on every further
-chunk it runs: counter i << 128 and an empty buffer, which is the state a
-freshly built substream(master_seed, tag, i, salt) starts from. Partial
-sums are combined with math.fsum in chunk order. Worker count only
-spreads chunks across threads, so results are bit-identical for any
-`workers`.
+the stream of Philox(SeedSequence(...)).jumped(i). Each estimator call
+builds one generator for chunk 0 and re-seats it on every later chunk:
+counter i << 128 and an empty buffer, which is the state a freshly built
+substream(master_seed, tag, i, salt) starts from. Chunks run in order and
+their partial sums are combined with math.fsum in chunk order.
+
+The estimators' `workers` parameter is ignored. It stays only because the
+benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
+positionally, and goes once the benchmark stops passing it.
 
 Each kernel draws only the samples its statistic reads: mean SNR one
 uniform per trial (the range), detection one real normal block per
@@ -28,7 +30,6 @@ binomial standard error for rates).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -133,40 +134,22 @@ def _run_chunks(
     plan: TrialPlan,
     tag: int,
     kernel: Callable[[np.random.Generator, int], tuple[float, ...]],
-    workers: int,
-    salt: int = 0,
+    salt: int,
 ) -> list[tuple[float, ...]]:
     """Apply kernel to every chunk; returns per-chunk tuples in chunk order.
 
-    Each thread builds one generator with substream for the first chunk it
-    runs and re-seats it for every later one, which costs a fraction of a
-    build and gives the chunk's substream draw for draw.
+    One generator is built with substream for chunk 0 and re-seated for
+    every later one, which costs a fraction of a build and gives the
+    chunk's substream draw for draw.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = _chunk_sizes(plan.trials)
-    seats = threading.local()
-
-    def one(item: tuple[int, int]) -> tuple[float, ...]:
-        index, count = item
-        seat = getattr(seats, "seat", None)
-        if seat is None:
-            rng = substream(plan.master_seed, tag, index, salt)
-            key = tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
-            seats.seat = rng, key
-        else:
-            rng, key = seat
+    rng = substream(plan.master_seed, tag, 0, salt)
+    key = tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
+    parts = []
+    for index, count in enumerate(_chunk_sizes(plan.trials)):
+        if index:
             rng.bit_generator.state = _philox_state(key, index)
-        return kernel(rng, count)
-
-    items = list(enumerate(sizes))
-    if workers == 1:
-        return [one(item) for item in items]
-    # Imported here so that only a multi-worker run pays for the import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
+        parts.append(kernel(rng, count))
+    return parts
 
 
 def _philox_state(key: tuple[int, int], index: int) -> dict:
@@ -266,7 +249,7 @@ def mc_mean_snr(
         np.divide(snr_at_unit, values, out=values)
         return float(np.sum(values)), float(np.dot(values, values))
 
-    parts = _run_chunks(plan, TAG_POSITIONS, kernel, workers, salt)
+    parts = _run_chunks(plan, TAG_POSITIONS, kernel, salt)
     return _reduce_mean(parts, plan)
 
 
@@ -319,7 +302,7 @@ def mc_detection_rates(
         detections = llr_hits(received)
         return float(detections), float(false_alarms)
 
-    parts = _run_chunks(plan, TAG_DETECTION, kernel, workers, salt)
+    parts = _run_chunks(plan, TAG_DETECTION, kernel, salt)
     detections = int(math.fsum(p[0] for p in parts))
     false_alarms = int(math.fsum(p[1] for p in parts))
     return _rate_estimate(detections, plan), _rate_estimate(false_alarms, plan)
@@ -360,5 +343,5 @@ def mc_integration_energy(
         energy = np.abs(n_sym * amp + (real + 1j * imag)) ** 2
         return float(np.sum(energy)), float(np.dot(energy, energy))
 
-    parts = _run_chunks(plan, TAG_ENERGY, kernel, workers, salt)
+    parts = _run_chunks(plan, TAG_ENERGY, kernel, salt)
     return _reduce_mean(parts, plan)

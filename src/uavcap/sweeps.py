@@ -130,8 +130,7 @@ def _uav_count_rows(
                 # One independent substream per curve; the closed-form 1/L
                 # split then scales the estimate row by row.
                 estimate = mc_mean_snr(
-                    config.link(), config.region(), config.plan(),
-                    config.workers, salt=ordinal,
+                    config.link(), config.region(), config.plan(), salt=ordinal
                 )
                 ratio = (
                     (query.total_symbols * config.uavs_per_symbol)

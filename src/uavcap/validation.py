@@ -71,6 +71,14 @@ def _quantitative(
     return CheckResult(name, _verdict(ok), measured, expected, tolerance, detail)
 
 
+def _no_trials(*names: str) -> list[CheckResult]:
+    """The rows of a sampled check group that has no trials to draw."""
+    return [
+        CheckResult(name, "inconclusive", detail="inconclusive: trials = 0")
+        for name in names
+    ]
+
+
 def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
     # scipy is imported here and in _sampler_checks only, and numpy only in
     # the groups that build arrays, so that importing the package (and every
@@ -136,6 +144,9 @@ def _quartic_moment_check(region: SensingRegion) -> CheckResult:
 
 
 def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
+    names = ("sampler_ks_range", "sampler_ks_elevation", "sampler_ks_azimuth")
+    if config.trials < 1:
+        return _no_trials(*names)
     import numpy as np
     from scipy import stats
 
@@ -148,18 +159,18 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
             f"sampler_ks_range: outer minus inner range cubed is "
             f"{outer3 - inner3:g} km^3, not positive"
         )
-    n = max(min(config.trials, 100_000), 1)
+    n = min(config.trials, 100_000)
     rng = substream(config.seed, TAG_POSITIONS, 0, salt=101)
     ranges, elevations, azimuths = sample_positions(region, rng, n)
     critical = float(stats.kstwobign.isf(0.01)) / math.sqrt(n)
 
-    probes = {
-        "sampler_ks_range": (ranges**3 - inner3) / (outer3 - inner3),
-        "sampler_ks_elevation": np.sin(elevations) / math.sin(region.max_elevation),
-        "sampler_ks_azimuth": azimuths / math.pi,
-    }
+    probes = (
+        (ranges**3 - inner3) / (outer3 - inner3),
+        np.sin(elevations) / math.sin(region.max_elevation),
+        azimuths / math.pi,
+    )
     results = []
-    for name, unit in probes.items():
+    for name, unit in zip(names, probes):
         stat = float(stats.kstest(unit, "uniform").statistic)
         ok = stat < critical
         results.append(
@@ -183,13 +194,9 @@ def _halfwidth_db(estimate: EmpiricalEstimate) -> float:
 
 def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
     if config.trials < 1:
-        note = "inconclusive: trials = 0"
-        return [
-            CheckResult("mean_snr_mc_vs_closed_form", "inconclusive", detail=note),
-            CheckResult("mean_snr_mode_gap", "inconclusive", detail=note),
-        ]
+        return _no_trials("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap")
     link, region = config.link(), config.region()
-    estimate = mc_mean_snr(link, region, config.plan(), config.workers)
+    estimate = mc_mean_snr(link, region, config.plan())
     hw_db = _halfwidth_db(estimate)
     # Tolerance: the 0.1 dB floor or 3 standard errors, whichever is looser;
     # a CI so wide that even a 2x defect could hide is inconclusive.
@@ -227,16 +234,13 @@ def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
 def _detection_checks(config: ScenarioConfig) -> list[CheckResult]:
     names = ("detection_pd_rate", "detection_pfa_rate")
     if config.trials < 1:
-        return [
-            CheckResult(name, "inconclusive", detail="inconclusive: trials = 0")
-            for name in names
-        ]
+        return _no_trials(*names)
     # Operating point in the informative region (pd ~ 0.9 at the configured
     # false-alarm rate) rather than a saturated one.
     xi = q_inv(config.pfa)
     snr = (xi - q_inv(0.9)) ** 2 / 2.0
     pd_est, pfa_est = mc_detection_rates(
-        snr, config.pfa, config.cpi_symbols, config.plan(), config.workers
+        snr, config.pfa, config.cpi_symbols, config.plan()
     )
     truth = {
         "detection_pd_rate": (pd_est, pd_single(snr, config.pfa)),
@@ -268,20 +272,9 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
 
     counts = (1, 3, 8)
     if config.trials < 1:
-        results = [
-            CheckResult(
-                f"integration_energy_n{n}", "inconclusive",
-                detail="inconclusive: trials = 0",
-            )
-            for n in counts
-        ]
-        results.append(
-            CheckResult(
-                "integration_snr_slope", "inconclusive",
-                detail="inconclusive: trials = 0",
-            )
+        return _no_trials(
+            *(f"integration_energy_n{n}" for n in counts), "integration_snr_slope"
         )
-        return results
 
     base = config.link()
     amplitude = math.sqrt(path_gain_squared(base, config.radius_km))
@@ -292,9 +285,7 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
     slope_ok = True
     for n in counts:
         link = replace(base, cpi_symbols=n)
-        est = mc_integration_energy(
-            link, amplitude, config.plan(), config.workers, salt=n
-        )
+        est = mc_integration_energy(link, amplitude, config.plan(), salt=n)
         signal = link.gain_amplitude * math.sqrt(
             link.tx_power_mw / link.uavs_per_symbol
         ) * amplitude
@@ -406,6 +397,12 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
+    # The grid is a neighborhood of the reference point, so radius_ratio is
+    # pinned to its default (the class attribute) like the other swept keys.
+    # A larger ratio shrinks the inner radius and lifts the capacity into the
+    # thousands, where the expanded surrogate sits at the edge of its window
+    # and an absolute 1-UAV bound no longer measures its quality.
+    ratio = ScenarioConfig.radius_ratio
     worst_expanded = 0
     worst_fixed = 0
     for radius in (0.9, 1.05, 1.2):
@@ -415,6 +412,7 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
                     scenario = with_overrides(
                         config,
                         radius_km=radius,
+                        radius_ratio=ratio,
                         tx_power_dbm=power,
                         pd_threshold=floor,
                         frames=1,

@@ -77,6 +77,16 @@ def test_bad_usage_exits_2(tmp_path: Path, capsys) -> None:
     assert "uavcap:" in capsys.readouterr().err
 
 
+def test_the_removed_workers_key_is_an_unknown_key(tmp_path: Path, capsys) -> None:
+    assert main(["snr-vs-uavs", "--set", "workers=2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "uavcap: unknown key 'workers'\n")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("workers = 2\n", encoding="utf-8")
+    assert main(["validate", "--config", str(scenario)]) == 2
+    assert capsys.readouterr().err == "uavcap: line 1: unknown key 'workers'\n"
+
+
 def test_missing_subcommand_is_usage_error(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -42,7 +42,6 @@ REFERENCE_ECHO = """\
 # trials = 100000
 # seed = 20260816
 # confidence = 0.99
-# workers = 1
 """
 
 
@@ -263,7 +262,7 @@ def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     table = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| `")]
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
-    assert len(documented) == len(set(documented)) == 26
+    assert len(documented) == len(set(documented)) == 25
 
 
 def test_readme_library_section_names_only_exported_names() -> None:

@@ -19,30 +19,30 @@ _SETS = {
 
 # (override set, command) -> (exit code, sha256 of stdout) at --seed 7 --trials 20000.
 _PINS = {
-    ("reference", "snr-vs-uavs"): (0, "e79c4e277cef9c560bbbb57d3f5f531d66176d2a049a0dde5d7aac9e70eae98b"),
-    ("reference", "pd-vs-uavs"): (0, "61031cb95cf18d6fe58f2ab2c1ca0a965c7293b6b3846011f119468e33704c6f"),
-    ("reference", "capacity-vs-radius"): (0, "438fbfb988582ce050ff69fd37c2e76a10163a24bc215c377f504e25e2f5dd0d"),
-    ("reference", "capacity-vs-frames"): (0, "6804be5b76a8e9e4341637e8936755c98c8c3952a173a6cdf7aaf7507e40a610"),
-    ("reference", "capacity-vs-power"): (0, "5ce1012602768147e0ed4ca3de8f0437636fadf83ccb6d2b59abb1d5105dc035"),
-    ("reference", "validate"): (0, "38308c31e9d2315e2b63f5497fc290a341e7e028706f6996d107a222a9179a4f"),
-    ("k4_unnormalized", "snr-vs-uavs"): (0, "f2f603047bea9237d873d2ae6f98095601f2b75da64e21792934f845e4d9dd85"),
-    ("k4_unnormalized", "pd-vs-uavs"): (0, "808d22175a6c865aa217ddb56671d921eae6f672171860f3c52e9441254f7af8"),
-    ("k4_unnormalized", "capacity-vs-radius"): (0, "83635982df29dbe11c7ae0ebd80fbe2d05ba2206c77fb726c7e94b92bb8b4c35"),
-    ("k4_unnormalized", "capacity-vs-frames"): (0, "50b58d7148c494ec322d459e6e745360017b56fb6f0c8b50c95bec513c2cbc88"),
-    ("k4_unnormalized", "capacity-vs-power"): (0, "82248c35aeec6dce37a93077a9474f000ca68e68852c9278e5d2a38d44908e6c"),
-    ("k4_unnormalized", "validate"): (0, "c463beb6887ca55d420e5ef0fafa6f9b5a339917e28a441a088a0d17d74df2f8"),
-    ("fixed_pfa01", "snr-vs-uavs"): (0, "0c0eba7ce9757d3bdb91a95635e4de7156b1a5dc79134f459293a3ee65cd3b97"),
-    ("fixed_pfa01", "pd-vs-uavs"): (0, "27540ead7b360f89a564af84e553df4436eb0806a11b351915ddbb30f90aa192"),
-    ("fixed_pfa01", "capacity-vs-radius"): (0, "9ee96703cd1019514adb07cacc75e4b2a5c9fa653e5784b2ac4dde1589d8b73b"),
-    ("fixed_pfa01", "capacity-vs-frames"): (0, "73efc2e7c5329edb05daaaa2f51b92ea176628c1f9083bbf9c3f52017114c3ee"),
-    ("fixed_pfa01", "capacity-vs-power"): (0, "655929fee8fe876dbfee688084e5660aaacf1fb879bf7cf85ab65866e36e1e4b"),
-    ("fixed_pfa01", "validate"): (0, "683dcb4bfdb0dc3794ec670cd6d4552042e1d93a4e9ac79502623447b97b298a"),
-    ("expanded_n8", "snr-vs-uavs"): (0, "e9ff358205bc4f84bf74779670a274178c515f168a467f3687b3f98a4f54fdd8"),
-    ("expanded_n8", "pd-vs-uavs"): (0, "5600245d1a31453eeea01777120e9f7d64661439ca18eef9f610fe43ccbe47ec"),
-    ("expanded_n8", "capacity-vs-radius"): (0, "e23aae1e4f54a76661201dcdbee05fa828dfb14c84457b3e46908645d3e2a06d"),
-    ("expanded_n8", "capacity-vs-frames"): (0, "c1956e97d70fe55c2748b90bf83e86250fac8b22fa5de6815d8566024e8916a7"),
-    ("expanded_n8", "capacity-vs-power"): (0, "98af2b2d35f37beee8fa99ee7b03be4f11e6a794bea4fcc4e87e32abf2e1f6a2"),
-    ("expanded_n8", "validate"): (0, "3c1b25f18298ab5e2ec3ad67611b61b5fd8327e6e0384b88ade235c1dfc9f4a6"),
+    ("reference", "snr-vs-uavs"): (0, "1f3ffbcab5beff586dfe97cc8e1e21f92a304f8f640830bc7c270257c36bbddd"),
+    ("reference", "pd-vs-uavs"): (0, "896f5a504a23773d38c6657e1cb05cf5a4acc819f987403128856d7e11fffee4"),
+    ("reference", "capacity-vs-radius"): (0, "5eae6122d17c744da7109d57fce3e5d994cfe36f1fb59ecd8d93e331ae8813de"),
+    ("reference", "capacity-vs-frames"): (0, "c2fe0a4d3c4b4489491c538f28f2b2de293e7c63712cd2877502b33f117a7a95"),
+    ("reference", "capacity-vs-power"): (0, "108c04ba4318fe332c9f656f581a99e2ad391a78ee8879a9783581f2fc21a8d7"),
+    ("reference", "validate"): (0, "ed33f8c2c79618984c79bc17acac4cd83c6c57bbdc0b2304a12dea2284965045"),
+    ("k4_unnormalized", "snr-vs-uavs"): (0, "5cb8502d2d53cef99cc7820f9ad494a41f34131f5de2a0f012a062bcc738d6fb"),
+    ("k4_unnormalized", "pd-vs-uavs"): (0, "26ba60e554a35027a329881f1c09ebbd325addc1999043cb98c87a9069e35c5f"),
+    ("k4_unnormalized", "capacity-vs-radius"): (0, "ce304c0d905ffbd953d6803918358c31739cb7c758813773ad61d5e1d98850d0"),
+    ("k4_unnormalized", "capacity-vs-frames"): (0, "ba185009e9f8117433982f93e6256f459955f410dd3c3f8617096041b1691a01"),
+    ("k4_unnormalized", "capacity-vs-power"): (0, "ee73829b16193969aecc03a4978accf2861d0942ca1d677e9df04f4c78983061"),
+    ("k4_unnormalized", "validate"): (0, "6886cff34aa0a0462d847294493d998fb2c0391176f87cb12b3dcea19236ac55"),
+    ("fixed_pfa01", "snr-vs-uavs"): (0, "15c5531a140dbb2c7687bc1ed002406f6b2115915d14a91a45dc78f81b5e4e1a"),
+    ("fixed_pfa01", "pd-vs-uavs"): (0, "d13cbc6e12fe95404426cee1b26d02cd1115cdcb6a96dc69f70e3194ef6dfe93"),
+    ("fixed_pfa01", "capacity-vs-radius"): (0, "6f7defa06d5cef5143db19d6f937cf54ab94eebeee6a471f8c3e11e6c492c082"),
+    ("fixed_pfa01", "capacity-vs-frames"): (0, "45337c709017d3cf45e606c084e40addbcdcba877e51b5d2a7e485ba79110c54"),
+    ("fixed_pfa01", "capacity-vs-power"): (0, "cdf800c3c333889e8cfcb6020095b16f93987d51d87895e695c6ad47eca44c94"),
+    ("fixed_pfa01", "validate"): (0, "8704a3cb02baac478b7e2cd28dae6c0d82d4627dd37ca18363d4e87379e9919f"),
+    ("expanded_n8", "snr-vs-uavs"): (0, "ea336246c1021b44f12638ba7972a1c749baa2177c399f013ca72ad4134dc500"),
+    ("expanded_n8", "pd-vs-uavs"): (0, "4aeb447cbd623e12b51b656887b3897ef83b881ac911913dabc9300c72f1f767"),
+    ("expanded_n8", "capacity-vs-radius"): (0, "f549ea1085667e27554920abc3bda85b0c4a1a31aab74216ceb5a045af833789"),
+    ("expanded_n8", "capacity-vs-frames"): (0, "daef04e883ef7e60d7db162d893f8b9a13ad565a6fd6f44a0ea726e5401ec09c"),
+    ("expanded_n8", "capacity-vs-power"): (0, "4402c677dc40cd58a998aeef84550540e427c5ec01034a2b9e8d6b3bf09246b4"),
+    ("expanded_n8", "validate"): (0, "240c1dd39911e73dddfccc2ac1fca528f2741a0e09ef58f60b75b45d24933f8d"),
 }
 
 

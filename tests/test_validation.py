@@ -13,6 +13,7 @@ from uavcap.validation import (
     CheckResult,
     _density_checks,
     _integration_checks,
+    _surrogate_capacity_check,
     failed_checks,
     render_validation_csv,
     run_validation,
@@ -187,10 +188,36 @@ def test_an_incoherent_energy_kernel_still_fails_the_slope(
     # 0; the reference point resolves that as a fail, not an inconclusive.
     real = uavcap.validation.mc_integration_energy
 
-    def incoherent(link, amplitude, plan, workers, salt):
-        return real(link, amplitude / math.sqrt(link.cpi_symbols), plan, workers, salt)
+    def incoherent(link, amplitude, plan, salt):
+        return real(link, amplitude / math.sqrt(link.cpi_symbols), plan, salt=salt)
 
     monkeypatch.setattr(uavcap.validation, "mc_integration_energy", incoherent)
     slope = _slope_row(parse_config(""))
     assert slope.status == "fail"
     assert abs(slope.measured) < 0.05
+
+
+def test_every_sampled_check_without_trials_is_inconclusive() -> None:
+    # With no trials there is nothing to test. The sampler once ran its KS
+    # tests on one sample, whose statistic never reaches the critical value,
+    # and so passed vacuously.
+    rows = run_validation(parse_config("", {"trials": "0"}))
+    no_trials = [r for r in rows if r.detail == "inconclusive: trials = 0"]
+    assert [r.name for r in no_trials] == [
+        "sampler_ks_range", "sampler_ks_elevation", "sampler_ks_azimuth",
+        "mean_snr_mc_vs_closed_form", "mean_snr_mode_gap",
+        "detection_pd_rate", "detection_pfa_rate",
+        "integration_energy_n1", "integration_energy_n3",
+        "integration_energy_n8", "integration_snr_slope",
+    ]
+    assert all(r.status == "inconclusive" and r.measured is None for r in no_trials)
+
+
+def test_surrogate_capacity_gap_keeps_the_reference_radius_ratio() -> None:
+    # At radius_ratio = 1000 the grid's capacities reach the thousands and
+    # the expanded surrogate once missed by 77 UAVs; the grid is a
+    # neighborhood of the reference point, so the ratio is not swept.
+    reference = _surrogate_capacity_check(parse_config(""))
+    wide = _surrogate_capacity_check(parse_config("", {"radius_ratio": "1000"}))
+    assert wide == reference
+    assert [r.status for r in wide] == ["pass"]
