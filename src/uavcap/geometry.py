@@ -119,11 +119,13 @@ def _ranges_from_unit(region: SensingRegion, u: np.ndarray) -> np.ndarray:
     # Inverse CDF of the radial marginal: P(r <= x) prop. to x^3 - (R/eps)^3,
     # r = R ((1 + u (eps^3 - 1)) / eps^3)^(1/3). Overwrites u with the ranges
     # and returns it, so callers pass an array of their own.
+    import numpy as np
+
     e3 = region.radius_ratio**3
     u *= e3 - 1.0
     u += 1.0
     u /= e3
-    u **= 1.0 / 3.0
+    np.cbrt(u, out=u)
     u *= region.max_range
     return u
 

@@ -16,9 +16,10 @@ benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
 positionally, and goes once the benchmark stops passing it.
 
 Each kernel draws only the samples its statistic reads: mean SNR one
-uniform per trial (the range), detection one real normal block per
-hypothesis (the LLR reads only the real part of the noise sum), and the
-integration energy both the real and the imaginary noise blocks. The
+uniform per trial (the range), detection one real normal block that both
+hypotheses share (the LLR reads only the real part of the noise sum; H0
+scores the block, H1 the block plus the echo, as common random numbers),
+and the integration energy both the real and the imaginary noise blocks. The
 cpi_symbols noise symbols of a trial are summed left to right, one column
 at a time (_row_sums), so the summation order is fixed here rather than by
 numpy's reduction.
@@ -245,7 +246,9 @@ def mc_mean_snr(
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
         values = sample_ranges(region, rng, count)
-        values **= 4
+        # r^4 as two exact squares, with no pow() pass.
+        np.square(values, out=values)
+        np.square(values, out=values)
         np.divide(snr_at_unit, values, out=values)
         return float(np.sum(values)), float(np.dot(values, values))
 
@@ -267,9 +270,11 @@ def mc_detection_rates(
     coherently summed under each hypothesis with the known per-symbol
     amplitude sqrt(snr / cpi_symbols), and the LLR is compared against
     lrt_threshold(snr, pfa). The LLR reads only the real part of the sum,
-    so only the real noise parts (variance 1/2 each) are drawn. The H0
-    block is drawn before the H1 block in every chunk, which pins the draw
-    order.
+    so only the real noise parts (variance 1/2 each) are drawn: one block
+    per chunk, shared by both hypotheses. False alarms are scored on it
+    and detections on it plus the summed amplitude. Each rate is still an
+    unbiased binomial estimate, and since the LLR is monotone in the noise
+    sum, every false alarm is also a detection.
     """
     import numpy as np
 
@@ -296,9 +301,11 @@ def mc_detection_rates(
         return int(np.count_nonzero(summed > gamma))
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        false_alarms = llr_hits(_noise_sums(rng, count, n_sym, scale))
-        received = _noise_sums(rng, count, n_sym, scale)
-        received += amp_eff
+        # One noise block serves both hypotheses (common random numbers).
+        # llr_hits overwrites its argument, so H1 is built before H0 is scored.
+        noise = _noise_sums(rng, count, n_sym, scale)
+        received = noise + amp_eff
+        false_alarms = llr_hits(noise)
         detections = llr_hits(received)
         return float(detections), float(false_alarms)
 

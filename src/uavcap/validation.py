@@ -163,6 +163,13 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     rng = substream(config.seed, TAG_POSITIONS, 0, salt=101)
     ranges, elevations, azimuths = sample_positions(region, rng, n)
     critical = float(stats.kstwobign.isf(0.01)) / math.sqrt(n)
+    # A KS statistic is at most 1, so a critical value of 1 or more can
+    # never be reached: such a test passes whatever the sampler does.
+    vacuous = critical >= 1.0
+    if vacuous:
+        detail = f"inconclusive: KS critical value {critical:.3g} >= 1 at n = {n}"
+    else:
+        detail = f"KS vs uniform after the probability transform, n = {n}"
 
     probes = (
         (ranges**3 - inner3) / (outer3 - inner3),
@@ -172,17 +179,8 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     results = []
     for name, unit in zip(names, probes):
         stat = float(stats.kstest(unit, "uniform").statistic)
-        ok = stat < critical
-        results.append(
-            CheckResult(
-                name,
-                _verdict(ok),
-                stat,
-                0.0,
-                critical,
-                f"KS vs uniform after the probability transform, n = {n}",
-            )
-        )
+        status = "inconclusive" if vacuous else _verdict(stat < critical)
+        results.append(CheckResult(name, status, stat, 0.0, critical, detail))
     return results
 
 

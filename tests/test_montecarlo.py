@@ -126,6 +126,15 @@ def test_mc_detection_rates_saturate_when_threshold_unbounded() -> None:
     assert pfa_est.mean == 1.0
 
 
+def test_mc_detection_rates_never_detect_less_than_they_false_alarm() -> None:
+    # Both hypotheses are scored on one noise block, and the LLR is monotone
+    # in the noise sum, so every false alarm is also a detection. With
+    # independent blocks, 21 of these 200 low-SNR calls read PD < PFA.
+    for salt in range(200):
+        pd_est, pfa_est = mc_detection_rates(0.05, 0.2, 3, TrialPlan(50, 7), salt=salt)
+        assert pd_est.mean >= pfa_est.mean, salt
+
+
 def test_mc_detection_rates_validation() -> None:
     plan = TrialPlan(10, SEED)
     with pytest.raises(ValueError, match="snr"):
@@ -180,19 +189,20 @@ PERFBENCH_WORKERS = [1, 2]
 
 # Pinned estimates, (cpi_symbols, seed, pd mean, pd half-width, pfa mean,
 # pfa half-width, energy mean, energy half-width) at 10_000 trials (two full
-# chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. The detection
-# columns come from the kernel that draws only the real noise blocks. The
-# energy columns date from the complex-array kernels and pin the energy
-# stream, which must not move.
+# chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. The PFA
+# columns date from the kernel that drew one real noise block per hypothesis,
+# H0 first; the PD columns from the one that scores H1 on that same block
+# plus the amplitude. The energy columns date from the complex-array kernels.
+# The PFA and energy columns pin streams that must not move.
 KERNEL_PINS = [
-    (1, 424242, 0.6416, 0.012351885515429338, 0.0502, 0.0056245142416108005, 7.794551325753482e-10, 1.756566795126318e-11),
-    (1, 7, 0.6415, 0.01235264583716989, 0.0508, 0.00565623963218867, 7.892718771481069e-10, 1.7847984963456946e-11),
-    (3, 424242, 0.6405, 0.012360216958561019, 0.0508, 0.00565623963218867, 4.658504962257905e-09, 7.990399721372163e-11),
-    (3, 7, 0.6435, 0.012337328319871055, 0.0503, 0.005629817168346492, 4.661324090400875e-09, 8.224811370905943e-11),
-    (8, 424242, 0.6414, 0.012353405575024033, 0.0493, 0.005576507442750612, 2.750450903425887e-08, 3.2858425946863765e-10),
-    (8, 7, 0.637, 0.012386257610556691, 0.0504, 0.005635113927343607, 2.7525207130790106e-08, 3.3522420326190754e-10),
-    (16, 424242, 0.6487, 0.012296403431212998, 0.0521, 0.005724231679714118, 1.0318054621466909e-07, 9.132837304572766e-10),
-    (16, 7, 0.6402, 0.012362476925235354, 0.0504, 0.005635113927343607, 1.0319258207509628e-07, 9.39939558125091e-10),
+    (1, 424242, 0.6421, 0.012348075144652611, 0.0502, 0.0056245142416108005, 7.794551325753482e-10, 1.756566795126318e-11),
+    (1, 7, 0.6462, 0.012316277647692792, 0.0508, 0.00565623963218867, 7.892718771481069e-10, 1.7847984963456946e-11),
+    (3, 424242, 0.6341, 0.012407296503708988, 0.0508, 0.00565623963218867, 4.658504962257905e-09, 7.990399721372163e-11),
+    (3, 7, 0.6366, 0.012389188427959079, 0.0503, 0.005629817168346492, 4.661324090400875e-09, 8.224811370905943e-11),
+    (8, 424242, 0.6334, 0.012412302162363088, 0.0493, 0.005576507442750612, 2.750450903425887e-08, 3.2858425946863765e-10),
+    (8, 7, 0.6455, 0.01232177637553747, 0.0504, 0.005635113927343607, 2.7525207130790106e-08, 3.3522420326190754e-10),
+    (16, 424242, 0.6404, 0.012360970863457759, 0.0521, 0.005724231679714118, 1.0318054621466909e-07, 9.132837304572766e-10),
+    (16, 7, 0.643, 0.012341179642404611, 0.0504, 0.005635113927343607, 1.0319258207509628e-07, 9.39939558125091e-10),
 ]
 
 @pytest.mark.parametrize("workers", PERFBENCH_WORKERS)
@@ -258,10 +268,13 @@ def test_run_chunks_hands_each_chunk_its_substream(salt: int) -> None:
 
 
 # Pinned mc_mean_snr estimates at the reference scenario: (seed, mean,
-# half-width) at 10_000 trials, one range uniform per trial.
+# half-width) at 10_000 trials, one range uniform per trial. The mean is
+# compared at rel=1e-14, not exactly: numpy sends the sampler's cbrt to SVML
+# kernels on AVX-512 hosts and to libm elsewhere, and the two round apart in
+# the last bit. Another salt or seed moves the mean by far more.
 MEAN_SNR_PINS = [
-    (424242, 73.31557985335363, 18.815335959738036),
-    (7, 80.34841741861891, 17.910170219994512),
+    (424242, 73.31557985335364, 18.815335959738043),
+    (7, 80.34841741861894, 17.910170219994516),
 ]
 
 
@@ -275,7 +288,7 @@ def test_mean_snr_reproduces_pinned_estimates(
 ) -> None:
     seed, mean, half_width = pin
     est = mc_mean_snr(reference_link, reference_region, TrialPlan(10_000, seed), workers)
-    assert est.mean == mean
+    assert est.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
     assert est.half_width == pytest.approx(half_width, rel=1e-15, abs=0.0)
 
 

@@ -213,6 +213,21 @@ def test_every_sampled_check_without_trials_is_inconclusive() -> None:
     assert all(r.status == "inconclusive" and r.measured is None for r in no_trials)
 
 
+@pytest.mark.parametrize("trials, inconclusive", [(1, True), (2, True), (3, False)])
+def test_sampler_checks_that_cannot_fail_are_inconclusive(
+    trials: int, inconclusive: bool
+) -> None:
+    # The KS statistic is at most 1. Below n = 3 the 1 % critical value
+    # (1.63 at n = 1, 1.15 at n = 2) exceeds it, and the rows could only pass.
+    rows = [
+        r for r in run_validation(parse_config("", {"trials": str(trials)}))
+        if r.name.startswith("sampler_ks_")
+    ]
+    assert len(rows) == 3
+    assert all((r.status == "inconclusive") == inconclusive for r in rows)
+    assert all((r.tolerance >= 1.0) == inconclusive for r in rows)
+
+
 def test_surrogate_capacity_gap_keeps_the_reference_radius_ratio() -> None:
     # At radius_ratio = 1000 the grid's capacities reach the thousands and
     # the expanded surrogate once missed by 77 UAVs; the grid is a
