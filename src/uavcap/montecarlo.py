@@ -1,15 +1,13 @@
 """Deterministic Monte Carlo oracles for the closed-form link/detector math.
 
 Reproducibility contract: a run is fully determined by (master_seed, tag,
-salt, trial count). Trials are processed in fixed chunks of _CHUNK. Philox
-is counter-based, so chunk i needs no per-chunk seeding: its substream is
-Philox seeded by SeedSequence(master_seed, spawn_key=(tag, salt)), built
-once and cached, and started at counter i << 128. That is draw for draw
-the stream of Philox(SeedSequence(...)).jumped(i). Each estimator call
-builds one generator for chunk 0 and re-seats it on every later chunk:
-counter i << 128 and an empty buffer, which is the state a freshly built
-substream(master_seed, tag, i, salt) starts from. Chunks run in order and
-their partial sums are combined with math.fsum in chunk order.
+salt, trial count). Each estimator call draws from one generator,
+substream(master_seed, tag, 0, salt): SFC64 seeded by
+SeedSequence(master_seed, spawn_key=(tag, salt, 0)). Trials are processed
+in fixed chunks of _CHUNK, drawn from that one stream in chunk order, and
+the per-chunk partial sums are combined with math.fsum in chunk order. So
+raising the trial count only extends the stream: the first k full chunks
+of a longer run are the chunks of a k-chunk run.
 
 The estimators' `workers` parameter is ignored. It stays only because the
 benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .detection import lrt_threshold, q_inv
@@ -92,38 +89,20 @@ def confidence_z(confidence: float) -> float:
     return q_inv((1.0 - confidence) / 2.0)
 
 
-@lru_cache(maxsize=64)
-def _seed_sequence(
-    master_seed: int, tag: int, salt: int
-) -> np.random.SeedSequence:
-    """SeedSequence(master_seed, spawn_key=(tag, salt)), built once per triple.
-
-    Seeding Philox with it skips the OS-entropy SeedSequence that a bare
-    Philox(key=...) builds and discards. Every substream of the triple
-    shares it: seeding only reads its state.
-    """
-    import numpy as np
-
-    return np.random.SeedSequence(master_seed, spawn_key=(tag, salt))
-
-
 def substream(
     master_seed: int, tag: int, index: int, salt: int = 0
 ) -> np.random.Generator:
-    """Counter-derived generator for chunk `index` of operation `tag`.
+    """Generator(SFC64(SeedSequence(master_seed, spawn_key=(tag, salt, index)))).
 
-    salt separates repeated uses of one estimator under the same seed
-    (e.g. one sweep row per salt) without touching the chunk counter.
-    Draw for draw equal to
-    Generator(Philox(SeedSequence(master_seed, spawn_key=(tag, salt))).jumped(index)):
-    a jump adds index to the third 64-bit word of the 256-bit counter.
+    tag names the operation and salt separates repeated uses of one
+    estimator under the same seed (e.g. one sweep row per salt); index is
+    a further spawn-key label. The estimators draw every chunk of a call
+    from index 0, in order.
     """
     import numpy as np
 
-    bits = np.random.Philox(
-        _seed_sequence(master_seed, tag, salt), counter=index << 128
-    )
-    return np.random.Generator(bits)
+    seq = np.random.SeedSequence(master_seed, spawn_key=(tag, salt, index))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -137,37 +116,9 @@ def _run_chunks(
     kernel: Callable[[np.random.Generator, int], tuple[float, ...]],
     salt: int,
 ) -> list[tuple[float, ...]]:
-    """Apply kernel to every chunk; returns per-chunk tuples in chunk order.
-
-    One generator is built with substream for chunk 0 and re-seated for
-    every later one, which costs a fraction of a build and gives the
-    chunk's substream draw for draw.
-    """
+    """Apply kernel to every chunk, in order, on one generator per call."""
     rng = substream(plan.master_seed, tag, 0, salt)
-    key = tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
-    parts = []
-    for index, count in enumerate(_chunk_sizes(plan.trials)):
-        if index:
-            rng.bit_generator.state = _philox_state(key, index)
-        parts.append(kernel(rng, count))
-    return parts
-
-
-def _philox_state(key: tuple[int, int], index: int) -> dict:
-    """Philox state at counter index << 128 with an empty output buffer.
-
-    That is the state substream(..., index, ...) starts from, so a generator
-    re-seated with it draws what a freshly built one would. The counter is
-    four 64-bit words, low word first; chunk indices fit in the third.
-    """
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, index, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    return [kernel(rng, count) for count in _chunk_sizes(plan.trials)]
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
@@ -202,9 +153,10 @@ def _reduce_mean(
     mean = total / n
     if n > 1:
         variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
+        half = confidence_z(plan.confidence) * math.sqrt(variance / n)
     else:
-        variance = 0.0
-    half = confidence_z(plan.confidence) * math.sqrt(variance / n)
+        # One trial gives no spread estimate, so the interval is unbounded.
+        half = math.inf
     return EmpiricalEstimate(mean=mean, half_width=half, trials=n)
 
 
@@ -342,13 +294,16 @@ def mc_integration_energy(
     scale = math.sqrt(params.noise_power_mw / 2.0)
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        # Sum the real and imaginary noise blocks apart and go complex only
-        # on the per-trial sums: complex (count, n_sym) temporaries outgrow
-        # the allocator's mmap threshold and page-fault on every chunk.
+        # Sum the real and imaginary noise blocks apart and form
+        # |N A + real + j imag|^2 in place on the real per-trial sums: no
+        # complex temporary is built.
         real = _noise_sums(rng, count, n_sym, scale)
         imag = _noise_sums(rng, count, n_sym, scale)
-        energy = np.abs(n_sym * amp + (real + 1j * imag)) ** 2
-        return float(np.sum(energy)), float(np.dot(energy, energy))
+        real += n_sym * amp
+        np.square(real, out=real)
+        np.square(imag, out=imag)
+        real += imag
+        return float(np.sum(real)), float(np.dot(real, real))
 
     parts = _run_chunks(plan, TAG_ENERGY, kernel, salt)
     return _reduce_mean(parts, plan)

@@ -102,6 +102,25 @@ def test_validate_green_exits_0(capsys) -> None:
     assert "check,status,measured,expected,tolerance,detail" in out
 
 
+def test_one_trial_gives_unbounded_intervals_not_false_fails(capsys) -> None:
+    # One trial has no spread estimate. A zero half-width once held the
+    # one-sample means to their closed forms exactly, and validate exited 1.
+    def table() -> list[dict[str, str]]:
+        lines = capsys.readouterr().out.splitlines()
+        return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+    assert main(["validate", "--trials", "1"]) == 0
+    rows = {row["check"]: row for row in table()}
+    for name in (
+        "mean_snr_mc_vs_closed_form", "mean_snr_mode_gap",
+        "integration_energy_n1", "integration_energy_n3", "integration_energy_n8",
+    ):
+        assert (rows[name]["status"], rows[name]["tolerance"]) == ("inconclusive", "inf")
+    assert main(["snr-vs-uavs", "--trials", "1", "--set", "sweep_stop=2"]) == 0
+    sweep = table()
+    assert sweep and all(row["mc_snr_halfwidth_db"] == "inf" for row in sweep)
+
+
 def test_validate_failure_exits_1(
     monkeypatch: pytest.MonkeyPatch, capsys
 ) -> None:

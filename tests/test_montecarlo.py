@@ -48,7 +48,7 @@ def test_substream_determinism_and_separation() -> None:
     assert np.array_equal(a, b)
     for other in [
         substream(SEED, 2, 0),       # different tag
-        substream(SEED, 1, 1),       # different chunk
+        substream(SEED, 1, 1),       # different index
         substream(SEED, 1, 0, 1),    # different salt
         substream(SEED + 1, 1, 0),   # different master seed
     ]:
@@ -189,20 +189,18 @@ PERFBENCH_WORKERS = [1, 2]
 
 # Pinned estimates, (cpi_symbols, seed, pd mean, pd half-width, pfa mean,
 # pfa half-width, energy mean, energy half-width) at 10_000 trials (two full
-# chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. The PFA
-# columns date from the kernel that drew one real noise block per hypothesis,
-# H0 first; the PD columns from the one that scores H1 on that same block
-# plus the amplitude. The energy columns date from the complex-array kernels.
-# The PFA and energy columns pin streams that must not move.
+# chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. They date from
+# the one-SFC64-stream-per-call generator, with H0 and H1 scored on one noise
+# block and the energy formed in place on the real and imaginary sums.
 KERNEL_PINS = [
-    (1, 424242, 0.6421, 0.012348075144652611, 0.0502, 0.0056245142416108005, 7.794551325753482e-10, 1.756566795126318e-11),
-    (1, 7, 0.6462, 0.012316277647692792, 0.0508, 0.00565623963218867, 7.892718771481069e-10, 1.7847984963456946e-11),
-    (3, 424242, 0.6341, 0.012407296503708988, 0.0508, 0.00565623963218867, 4.658504962257905e-09, 7.990399721372163e-11),
-    (3, 7, 0.6366, 0.012389188427959079, 0.0503, 0.005629817168346492, 4.661324090400875e-09, 8.224811370905943e-11),
-    (8, 424242, 0.6334, 0.012412302162363088, 0.0493, 0.005576507442750612, 2.750450903425887e-08, 3.2858425946863765e-10),
-    (8, 7, 0.6455, 0.01232177637553747, 0.0504, 0.005635113927343607, 2.7525207130790106e-08, 3.3522420326190754e-10),
-    (16, 424242, 0.6404, 0.012360970863457759, 0.0521, 0.005724231679714118, 1.0318054621466909e-07, 9.132837304572766e-10),
-    (16, 7, 0.643, 0.012341179642404611, 0.0504, 0.005635113927343607, 1.0319258207509628e-07, 9.39939558125091e-10),
+    (1, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 7.764948887100557e-10, 1.7467237532265473e-11),
+    (1, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 7.859336681433855e-10, 1.7423846951418077e-11),
+    (3, 424242, 0.6364, 0.012390650363839531, 0.0494, 0.005581866675415847, 4.623724648420374e-09, 7.962113404957609e-11),
+    (3, 7, 0.6469, 0.012310750055195415, 0.0497, 0.005597906477653389, 4.591281131303208e-09, 7.994827590319819e-11),
+    (8, 424242, 0.6382, 0.012377409533893652, 0.0479, 0.005500803342045295, 2.755314879410589e-08, 3.263693749287625e-10),
+    (8, 7, 0.6387, 0.012373698179052223, 0.0516, 0.0056982001923298504, 2.738352541432754e-08, 3.268932996211745e-10),
+    (16, 424242, 0.6343, 0.012405861131174851, 0.0482, 0.005517132941935202, 1.0385520527555283e-07, 9.145655748344373e-10),
+    (16, 7, 0.6399, 0.012364731649458265, 0.05, 0.005613889814990204, 1.0295356255853533e-07, 9.095908360760599e-10),
 ]
 
 @pytest.mark.parametrize("workers", PERFBENCH_WORKERS)
@@ -224,17 +222,17 @@ def test_kernels_reproduce_pinned_estimates(pin: tuple, workers: int) -> None:
 # Pinned zero-amplitude energies, (cpi_symbols, seed, mean, half-width) at
 # 10_000 trials. With no echo the estimate is noise alone, so unlike the
 # signal-dominated KERNEL_PINS it reads every bit of the per-trial sums.
-# cpi_symbols 3 and 7 date from numpy's .sum(axis=1), which adds up to 7
-# columns left to right; 8 and 16 pin the left-to-right column sums.
+# cpi_symbols 3 and 7 are summed in the order numpy's .sum(axis=1) uses up
+# to 7 columns; 8 and 16 pin the left-to-right column sums past it.
 ZERO_AMPLITUDE_ENERGY_PINS = [
-    (3, 424242, 1.207565398824336e-09, 3.090810445220401e-11),
-    (3, 7, 1.2171967281748558e-09, 3.174222849564927e-11),
-    (7, 424242, 2.8077666092900525e-09, 7.228369975976171e-11),
-    (7, 7, 2.8211371563934803e-09, 7.338761595786437e-11),
-    (8, 424242, 3.178672382102157e-09, 8.223647250363831e-11),
-    (8, 7, 3.2836504525564597e-09, 8.611483039755355e-11),
-    (16, 424242, 6.29757814084927e-09, 1.6192105454913398e-10),
-    (16, 7, 6.457911088438217e-09, 1.6631383789552145e-10),
+    (3, 424242, 1.1916596093693713e-09, 3.10237593512561e-11),
+    (3, 7, 1.1893313830871574e-09, 3.0418445819131606e-11),
+    (7, 424242, 2.761390186288375e-09, 7.229185881444994e-11),
+    (7, 7, 2.7454223407589815e-09, 6.981833350675947e-11),
+    (8, 424242, 3.1684157195741493e-09, 8.164174622762386e-11),
+    (8, 7, 3.1024607677305766e-09, 8.014179648805514e-11),
+    (16, 424242, 6.2924778016420746e-09, 1.6309918100277234e-10),
+    (16, 7, 6.239529596797139e-09, 1.6346365173400445e-10),
 ]
 
 
@@ -249,22 +247,28 @@ def test_zero_amplitude_energy_reproduces_pinned_sums(pin: tuple, workers: int) 
     assert (est.mean, est.half_width) == (mean, half_width)
 
 
-@pytest.mark.parametrize("salt", [1, 2])
-def test_run_chunks_hands_each_chunk_its_substream(salt: int) -> None:
-    # Every call leaves its generator part way through a Philox block and
-    # holding half a 32-bit word, which a re-seated generator must drop.
-    def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        normals = rng.standard_normal(3)
-        half_word = rng.integers(2**32, dtype=np.uint32)
-        return (float(count), *map(float, normals), float(half_word))
+def _probe_kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
+    # Leaves the generator holding half a 32-bit word, which the next chunk
+    # must go on from rather than drop.
+    normals = rng.standard_normal(3)
+    half_word = rng.integers(2**32, dtype=np.uint32)
+    return (float(count), *map(float, normals), float(half_word))
 
+
+@pytest.mark.parametrize("salt", [1, 2])
+def test_run_chunks_draws_every_chunk_in_order_from_one_substream(salt: int) -> None:
     sizes = [4096, 4096, 4096, 5]  # three full chunks and a ragged one
-    drawn = _run_chunks(TrialPlan(sum(sizes), SEED), 3, kernel, salt)
-    expected = [
-        kernel(substream(SEED, 3, index, salt), count)
-        for index, count in enumerate(sizes)
-    ]
-    assert drawn == expected
+    drawn = _run_chunks(TrialPlan(sum(sizes), SEED), 3, _probe_kernel, salt)
+    rng = substream(SEED, 3, 0, salt)
+    assert drawn == [_probe_kernel(rng, count) for count in sizes]
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_raising_trials_only_extends_the_stream(chunks: int) -> None:
+    # The first k full chunks of a longer run are the chunks of a k-chunk run.
+    short = _run_chunks(TrialPlan(chunks * 4096, SEED), 2, _probe_kernel, 0)
+    long = _run_chunks(TrialPlan(chunks * 4096 + 4097, SEED), 2, _probe_kernel, 0)
+    assert long[:chunks] == short
 
 
 # Pinned mc_mean_snr estimates at the reference scenario: (seed, mean,
@@ -273,8 +277,8 @@ def test_run_chunks_hands_each_chunk_its_substream(salt: int) -> None:
 # kernels on AVX-512 hosts and to libm elsewhere, and the two round apart in
 # the last bit. Another salt or seed moves the mean by far more.
 MEAN_SNR_PINS = [
-    (424242, 73.31557985335364, 18.815335959738043),
-    (7, 80.34841741861894, 17.910170219994516),
+    (424242, 67.15470719644982, 16.007964588088786),
+    (7, 71.61795463912671, 15.82957361494567),
 ]
 
 
@@ -295,11 +299,9 @@ def test_mean_snr_reproduces_pinned_estimates(
 @pytest.mark.parametrize("salt", [0, 5])
 @pytest.mark.parametrize("tag", [1, 3])
 @pytest.mark.parametrize("index", [0, 1, 255, 2**40])
-def test_substream_equals_seeded_jumped_philox(index: int, tag: int, salt: int) -> None:
-    # substream starts Philox at a cached key and counter index << 128; that
-    # must stay the stream of SeedSequence seeding plus jumped(index).
+def test_substream_is_sfc64_seeded_by_its_spawn_key(index: int, tag: int, salt: int) -> None:
     for seed in (SEED, 2**40):
-        seeded = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(tag, salt)))
-        expected = np.random.Generator(seeded.jumped(index)).standard_normal(1000)
+        seq = np.random.SeedSequence(seed, spawn_key=(tag, salt, index))
+        expected = np.random.Generator(np.random.SFC64(seq)).standard_normal(1000)
         drawn = substream(seed, tag, index, salt).standard_normal(1000)
         assert np.array_equal(drawn, expected)

@@ -19,30 +19,30 @@ _SETS = {
 
 # (override set, command) -> (exit code, sha256 of stdout) at --seed 7 --trials 20000.
 _PINS = {
-    ("reference", "snr-vs-uavs"): (0, "1f3ffbcab5beff586dfe97cc8e1e21f92a304f8f640830bc7c270257c36bbddd"),
+    ("reference", "snr-vs-uavs"): (0, "3e2f23457ad290b457d24573def5c5a0c0c4f0129515c4cf474c780dda203d89"),
     ("reference", "pd-vs-uavs"): (0, "896f5a504a23773d38c6657e1cb05cf5a4acc819f987403128856d7e11fffee4"),
     ("reference", "capacity-vs-radius"): (0, "5eae6122d17c744da7109d57fce3e5d994cfe36f1fb59ecd8d93e331ae8813de"),
     ("reference", "capacity-vs-frames"): (0, "c2fe0a4d3c4b4489491c538f28f2b2de293e7c63712cd2877502b33f117a7a95"),
     ("reference", "capacity-vs-power"): (0, "108c04ba4318fe332c9f656f581a99e2ad391a78ee8879a9783581f2fc21a8d7"),
-    ("reference", "validate"): (0, "26142c10e0cf74204c4d95f361da93137328fb87d2f8a5c01d0179d8db6b5e58"),
-    ("k4_unnormalized", "snr-vs-uavs"): (0, "5cb8502d2d53cef99cc7820f9ad494a41f34131f5de2a0f012a062bcc738d6fb"),
+    ("reference", "validate"): (0, "775543c8cf25c6976e6314966a6c409f464488df7e0e685db6792a9d054f07d7"),
+    ("k4_unnormalized", "snr-vs-uavs"): (0, "89014c5128cda148b7348837142b0fae684cb5f91d512f8e881e858503d18b53"),
     ("k4_unnormalized", "pd-vs-uavs"): (0, "26ba60e554a35027a329881f1c09ebbd325addc1999043cb98c87a9069e35c5f"),
     ("k4_unnormalized", "capacity-vs-radius"): (0, "ce304c0d905ffbd953d6803918358c31739cb7c758813773ad61d5e1d98850d0"),
     ("k4_unnormalized", "capacity-vs-frames"): (0, "ba185009e9f8117433982f93e6256f459955f410dd3c3f8617096041b1691a01"),
     ("k4_unnormalized", "capacity-vs-power"): (0, "ee73829b16193969aecc03a4978accf2861d0942ca1d677e9df04f4c78983061"),
-    ("k4_unnormalized", "validate"): (0, "fc469572d0e185816f58264fffe1c1a5a6ff18c59cb51bd48024b1a637dfb206"),
-    ("fixed_pfa01", "snr-vs-uavs"): (0, "15c5531a140dbb2c7687bc1ed002406f6b2115915d14a91a45dc78f81b5e4e1a"),
+    ("k4_unnormalized", "validate"): (0, "df5c2b0c7b97b9d518043b3137f2d80d7f43fd756fc78a3c0eaa4e4c7523b1c1"),
+    ("fixed_pfa01", "snr-vs-uavs"): (0, "2bec927fd84d58bbe9dd6185615e9f7bf36f4f54b2c12d6ff23a10fcfa5134f5"),
     ("fixed_pfa01", "pd-vs-uavs"): (0, "d13cbc6e12fe95404426cee1b26d02cd1115cdcb6a96dc69f70e3194ef6dfe93"),
     ("fixed_pfa01", "capacity-vs-radius"): (0, "6f7defa06d5cef5143db19d6f937cf54ab94eebeee6a471f8c3e11e6c492c082"),
     ("fixed_pfa01", "capacity-vs-frames"): (0, "45337c709017d3cf45e606c084e40addbcdcba877e51b5d2a7e485ba79110c54"),
     ("fixed_pfa01", "capacity-vs-power"): (0, "cdf800c3c333889e8cfcb6020095b16f93987d51d87895e695c6ad47eca44c94"),
-    ("fixed_pfa01", "validate"): (0, "73e9d5815ec287ca47a3f67485b8f3c2086c2f9dd7abcb835d1d4c19589a89b4"),
-    ("expanded_n8", "snr-vs-uavs"): (0, "ea336246c1021b44f12638ba7972a1c749baa2177c399f013ca72ad4134dc500"),
+    ("fixed_pfa01", "validate"): (0, "c8ddf10b34fe6a4e4ea57969c1f2d111721df7c9a11d0f219d15f6d8c9d4b12c"),
+    ("expanded_n8", "snr-vs-uavs"): (0, "788e06d56efa8f7bcb161be1a5d699f870f44a9d5e919797be24f68bf8fd1c98"),
     ("expanded_n8", "pd-vs-uavs"): (0, "4aeb447cbd623e12b51b656887b3897ef83b881ac911913dabc9300c72f1f767"),
     ("expanded_n8", "capacity-vs-radius"): (0, "f549ea1085667e27554920abc3bda85b0c4a1a31aab74216ceb5a045af833789"),
     ("expanded_n8", "capacity-vs-frames"): (0, "daef04e883ef7e60d7db162d893f8b9a13ad565a6fd6f44a0ea726e5401ec09c"),
     ("expanded_n8", "capacity-vs-power"): (0, "4402c677dc40cd58a998aeef84550540e427c5ec01034a2b9e8d6b3bf09246b4"),
-    ("expanded_n8", "validate"): (0, "3ec44930bffa10ad32e59b2c22121d8a29bca9f7ecae5d49965e8f181b8abad6"),
+    ("expanded_n8", "validate"): (0, "ff579a26ad9cfab3a41be758878d02f2b200586c68ae95983157e40921c3add2"),
 }
 
 

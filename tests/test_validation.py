@@ -171,13 +171,13 @@ def _slope_row(config) -> CheckResult:
 def test_a_slope_too_uncertain_to_resolve_is_inconclusive_not_fail(capsys) -> None:
     # At 3 km the echo is far below the noise, so each energy-derived SNR
     # is a small difference of two near-equal energies: the slope reads
-    # about 0.88, but its 3 SE (about 0.33) dwarfs the 0.05 tolerance.
+    # about 0.94, but its 3 SE (about 0.37) dwarfs the 0.05 tolerance.
     assert main(["validate", "--set", "radius_km=3"]) == 0
     assert ",fail," not in capsys.readouterr().out
     slope = _slope_row(parse_config("", {"radius_km": "3"}))
     assert slope.status == "inconclusive"
     assert slope.tolerance == 0.05
-    assert "3 SE = 0.33 > 0.05" in slope.detail
+    assert "3 SE = 0.37 > 0.05" in slope.detail
 
 
 def test_an_incoherent_energy_kernel_still_fails_the_slope(
