@@ -299,7 +299,10 @@ def test_mean_snr_reproduces_pinned_estimates(
 @pytest.mark.parametrize("salt", [0, 5])
 @pytest.mark.parametrize("tag", [1, 3])
 @pytest.mark.parametrize("index", [0, 1, 255, 2**40])
-def test_substream_is_sfc64_seeded_by_its_spawn_key(index: int, tag: int, salt: int) -> None:
+def test_substream_equals_seeded_jumped_philox(index: int, tag: int, salt: int) -> None:
+    # The name dates from the Philox generator that substream used to jump
+    # per chunk. The test pins substream's definition draw for draw: SFC64
+    # seeded by SeedSequence(seed, spawn_key=(tag, salt, index)), no jump.
     for seed in (SEED, 2**40):
         seq = np.random.SeedSequence(seed, spawn_key=(tag, salt, index))
         expected = np.random.Generator(np.random.SFC64(seq)).standard_normal(1000)
