@@ -5,15 +5,15 @@ targets, so the mean per-target SNR scales as 1/L. Under the SNR floor the
 capacity is a closed-form floor division. Under the joint-PD floor the
 objective L * ln Q(xi - sqrt(rho/L)) is monotone decreasing in L, and the
 capacity is found either by a search seeded from a closed-form estimate
-(exact or surrogate objective) or by a brute-force linear scan of the exact
-objective; the two must agree, which the validation suite checks on random
-scenarios.
+(on the exact objective or on the surrogate alone) or by a brute-force
+linear scan of the exact objective; the two must agree, which the
+validation suite checks on random scenarios.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .detection import (
@@ -24,6 +24,7 @@ from .detection import (
     log_joint_pd_surrogate,
     log_pd_single,
     q_inv,
+    surrogate_miss_inv,
 )
 from .geometry import SensingRegion, check_density_mode
 from .link import RadarLinkParams, db_to_linear, mean_multi_uav_snr
@@ -70,6 +71,8 @@ class CapacityResult:
     achieved_joint_pd the exact joint detection probability at
     max(max_uavs, 1). cap_reached marks a linear scan that hit its
     iteration cap, in which case max_uavs is a lower bound only.
+    surrogate_out_of_window marks a surrogate-mode solve whose surrogate
+    left its validity window: max_uavs is then the exact-mode capacity.
     """
 
     max_uavs: int
@@ -77,6 +80,7 @@ class CapacityResult:
     achieved_snr: float
     achieved_joint_pd: float
     cap_reached: bool = False
+    surrogate_out_of_window: bool = False
 
 
 def mean_snr_at(query: CapacityQuery, num_uavs: int) -> float:
@@ -84,29 +88,6 @@ def mean_snr_at(query: CapacityQuery, num_uavs: int) -> float:
     return mean_multi_uav_snr(
         query.link, query.region, query.total_symbols, num_uavs, query.snr_mode
     )
-
-
-def _log_joint_pd_objective(
-    query: CapacityQuery, mean_snr_one: float, xi: float
-) -> Callable[[int], float]:
-    """Objective L -> ln(joint PD at L), per the query's surrogate mode.
-
-    Surrogate modes fall back to the exact objective outside the surrogate
-    validity window (xi - sqrt(rho/L) must lie in [-4, 0]).
-    """
-    rho = 2.0 * mean_snr_one
-
-    def objective(num_uavs: int) -> float:
-        if query.surrogate_mode != "exact":
-            try:
-                return log_joint_pd_surrogate(
-                    rho, xi, num_uavs, query.surrogate_mode
-                )
-            except SurrogateDomainError:
-                pass
-        return num_uavs * log_pd_single(mean_snr_one / num_uavs, xi)
-
-    return objective
 
 
 def _make_result(
@@ -192,7 +173,9 @@ def max_satisfying(
     return low
 
 
-def _pd_guess(mean_one: float, xi: float, ln_floor: float) -> int:
+def _pd_guess(
+    mean_one: float, xi: float, ln_floor: float, tail_inv: Callable[[float], float] = q_inv
+) -> int:
     """Estimate of the count where L * ln PD of one target crosses ln_floor.
 
     (1 - miss)^L ~ exp(-L miss) puts the crossing where each target's miss
@@ -201,37 +184,54 @@ def _pd_guess(mean_one: float, xi: float, ln_floor: float) -> int:
     fixed-point steps from L = mean_one land within a UAV or so in the
     validate domain, and within about 1e-5 relative at 1e10 UAVs. A miss
     budget outside (0, 1/2) stops them (the capacity is then a few UAVs,
-    or none), so Q^-1 is only called where it is finite and positive. An
-    infinite mean_one raises OverflowError.
+    or none), so tail_inv, the inverse of the miss term, is only called
+    where it is finite. The surrogate objective is exactly -L * miss, so
+    with surrogate_miss_inv as tail_inv the fixed point is the surrogate's
+    own crossing. An infinite mean_one raises OverflowError.
     """
     guess = mean_one
     for _ in range(4):
         miss = -ln_floor / guess if guess > 0.0 else 1.0
         if not 0.0 < miss < 0.5:
             break
-        guess = 2.0 * (mean_one / (xi + q_inv(miss)) ** 2)
+        guess = 2.0 * (mean_one / (xi + tail_inv(miss)) ** 2)
     return math.floor(guess)
 
 
 def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
     """Largest L with ln(joint PD) >= ln(pd_threshold), by a seeded search.
 
-    The objective is evaluated per the query's surrogate mode ("exact"
-    uses L * ln PD of one target, in the log domain). The search starts at
-    the closed-form estimate of _pd_guess and needs no cap: with pfa > 0,
-    L * ln PD falls without bound as L grows, so a violating count exists.
+    The exact objective is L * ln PD of one target, in the log domain; a
+    surrogate mode searches on the surrogate alone, and if that leaves its
+    window (in practice at the answer or the next count) the exact search
+    runs instead, flagged surrogate_out_of_window. The search starts at
+    _pd_guess and needs no cap: with pfa > 0, L * ln PD falls without bound
+    as L grows, so a violating count exists.
     """
     mean_one = mean_snr_at(query, 1)
     xi = q_inv(query.spec.pfa)
     ln_floor = math.log(query.spec.pd_threshold)
     floor = ln_floor - _REL_SLACK * abs(ln_floor)
-    objective = _log_joint_pd_objective(query, mean_one, xi)
+    mode = query.surrogate_mode
+    if mode != "exact":
+        rho = 2.0 * mean_one
+
+        def surrogate_holds(num_uavs: int) -> bool:
+            return log_joint_pd_surrogate(rho, xi, num_uavs, mode) >= floor
+
+        guess = _pd_guess(mean_one, xi, floor, surrogate_miss_inv(xi, mode))
+        try:
+            best = _largest(surrogate_holds, guess)
+            return _make_result(query, mean_one, best, "pd", surrogate_holds)
+        except SurrogateDomainError:
+            pass
 
     def holds(num_uavs: int) -> bool:
-        return objective(num_uavs) >= floor
+        return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
     best = _largest(holds, _pd_guess(mean_one, xi, floor))
-    return _make_result(query, mean_one, best, "pd", holds)
+    result = _make_result(query, mean_one, best, "pd", holds)
+    return result if mode == "exact" else replace(result, surrogate_out_of_window=True)
 
 
 def capacity_under_pd_scan(

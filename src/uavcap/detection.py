@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 # inv_cdf is Wichura's AS241 (relative error ~1e-16 down to p = 1e-300).
@@ -152,8 +153,8 @@ def log_joint_pd_surrogate(
       exp(a xi^2 - b xi + 0.3798 xi), about 1.503 at pfa = 0.05.
 
     Valid only where x = xi - sqrt(rho/L) lies in [-SURROGATE_X_MAX, 0];
-    outside that window a SurrogateDomainError is raised and callers fall
-    back to the exact objective.
+    outside that window a SurrogateDomainError is raised, and the capacity
+    solver then solves on the exact objective instead.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be > 0, got {rho}")
@@ -166,13 +167,34 @@ def log_joint_pd_surrogate(
         raise SurrogateDomainError(
             f"xi - sqrt(rho/L) = {x} outside [-{SURROGATE_X_MAX}, 0]"
         )
-    a, b, c = SURROGATE_A, SURROGATE_B, SURROGATE_C
     # The two modes share the terms in rho/L; they differ only in the tail.
-    exponent = -a * ratio + (2.0 * a * xi - b) * root
-    if mode == "expanded":
-        exponent = exponent - a * xi * xi + b * xi - c
-    elif mode == "fixed":
-        exponent = exponent + 0.3798 * xi - c
-    else:
-        raise ValueError(f"mode must be 'expanded' or 'fixed', got {mode!r}")
+    a, b = SURROGATE_A, SURROGATE_B
+    exponent = -a * ratio + (2.0 * a * xi - b) * root + _surrogate_tail(xi, mode)
     return -num_uavs * math.exp(exponent)
+
+
+def _surrogate_tail(xi: float, mode: str) -> float:
+    """The mode's constant term of the surrogate exponent (see above)."""
+    a, b, c = SURROGATE_A, SURROGATE_B, SURROGATE_C
+    if mode == "expanded":
+        return -a * xi * xi + b * xi - c
+    if mode == "fixed":
+        return 0.3798 * xi - c
+    raise ValueError(f"mode must be 'expanded' or 'fixed', got {mode!r}")
+
+
+def surrogate_miss_inv(xi: float, mode: str) -> Callable[[float], float]:
+    """The inverse of the surrogate's miss term, miss -> |x|, as Q^-1 is.
+
+    With sqrt(rho/L) = xi + |x| the surrogate is -L * exp(-a |x|^2 - b |x|
+    - offset), so |x| is the root of a |x|^2 + b |x| + ln miss + offset = 0,
+    real for miss in (0, 1/2).
+    """
+    a, b = SURROGATE_A, SURROGATE_B
+    offset = b * xi - a * xi * xi - _surrogate_tail(xi, mode)
+
+    def inverse(miss: float) -> float:
+        k = math.log(miss) + offset
+        return -2.0 * k / (b + math.sqrt(b * b - 4.0 * a * k))
+
+    return inverse

@@ -23,7 +23,7 @@ from .capacity import (
     mean_snr_at,
 )
 from .config import ScenarioConfig, render_csv, with_overrides
-from .detection import joint_pd, pd_single, q, q_exp_approx, q_inv
+from .detection import SURROGATE_MODES, joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
     DENSITY_MODES,
     Position,
@@ -69,6 +69,17 @@ def _quantitative(
 ) -> CheckResult:
     ok = abs(measured - expected) <= tolerance
     return CheckResult(name, _verdict(ok), measured, expected, tolerance, detail)
+
+
+def _sampled(
+    name: str, measured: float, expected: float, tolerance: float, detail: str,
+    unresolved: str | None = None,
+) -> CheckResult:
+    """A sampled check: inconclusive, with the reason unresolved, when its
+    sampling error cannot resolve the tolerance; otherwise quantitative."""
+    if unresolved is not None:
+        return CheckResult(name, "inconclusive", measured, expected, tolerance, unresolved)
+    return _quantitative(name, measured, expected, tolerance, detail)
 
 
 def _no_trials(*names: str) -> list[CheckResult]:
@@ -205,26 +216,15 @@ def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
     closed_db = linear_to_db(mean_single_uav_snr(link, region, "normalized"))
     unnorm_db = linear_to_db(mean_single_uav_snr(link, region, "unnormalized"))
     gap_expected = 10.0 * math.log10(math.sin(region.max_elevation))
-    if too_wide:
-        note = f"inconclusive: CI too wide ({hw_db:.3g} dB)"
-        return [
-            CheckResult(
-                "mean_snr_mc_vs_closed_form", "inconclusive",
-                mc_db, closed_db, tol_db, note,
-            ),
-            CheckResult(
-                "mean_snr_mode_gap", "inconclusive",
-                unnorm_db - mc_db, gap_expected, tol_db, note,
-            ),
-        ]
+    note = f"inconclusive: CI too wide ({hw_db:.3g} dB)" if too_wide else None
     return [
-        _quantitative(
+        _sampled(
             "mean_snr_mc_vs_closed_form", mc_db, closed_db, tol_db,
-            f"{config.trials} trials, CI half-width {hw_db:.3g} dB",
+            f"{config.trials} trials, CI half-width {hw_db:.3g} dB", note,
         ),
-        _quantitative(
+        _sampled(
             "mean_snr_mode_gap", unnorm_db - mc_db, gap_expected, tol_db,
-            "unnormalized closed form minus sampled mean, dB",
+            "unnormalized closed form minus sampled mean, dB", note,
         ),
     ]
 
@@ -246,22 +246,14 @@ def _detection_checks(config: ScenarioConfig) -> list[CheckResult]:
     }
     results = []
     for name, (estimate, expected) in truth.items():
-        se = math.sqrt(expected * (1.0 - expected) / config.trials)
-        tol = 3.0 * se
-        if tol > 0.05:
-            results.append(
-                CheckResult(
-                    name, "inconclusive", estimate.mean, expected, tol,
-                    "inconclusive: CI too wide (3 SE > 0.05)",
-                )
+        tol = 3.0 * math.sqrt(expected * (1.0 - expected) / config.trials)
+        unresolved = "inconclusive: CI too wide (3 SE > 0.05)" if tol > 0.05 else None
+        results.append(
+            _sampled(
+                name, estimate.mean, expected, tol,
+                f"3 binomial SE at {config.trials} trials", unresolved,
             )
-        else:
-            results.append(
-                _quantitative(
-                    name, estimate.mean, expected, tol,
-                    f"3 binomial SE at {config.trials} trials",
-                )
-            )
+        )
     return results
 
 
@@ -280,7 +272,6 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
     results = []
     # (N, energy-derived SNR, its standard error) per symbol count.
     snr_points: list[tuple[int, float, float]] = []
-    slope_ok = True
     for n in counts:
         link = replace(base, cpi_symbols=n)
         est = mc_integration_energy(link, amplitude, config.plan(), salt=n)
@@ -289,29 +280,21 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
         ) * amplitude
         expected = n * n * signal**2 + n * link.noise_power_mw
         tol = 3.0 * est.half_width / z
-        rel_hw = est.half_width / expected
-        if rel_hw > 0.1:
-            results.append(
-                CheckResult(
-                    f"integration_energy_n{n}", "inconclusive",
-                    est.mean, expected, tol,
-                    "inconclusive: CI too wide (rel. half-width > 10%)",
-                )
+        too_wide = est.half_width / expected > 0.1
+        results.append(
+            _sampled(
+                f"integration_energy_n{n}", est.mean, expected, tol,
+                "signal energy grows as N^2, noise as N",
+                "inconclusive: CI too wide (rel. half-width > 10%)" if too_wide else None,
             )
-            slope_ok = False
-        else:
-            results.append(
-                _quantitative(
-                    f"integration_energy_n{n}", est.mean, expected, tol,
-                    "signal energy grows as N^2, noise as N",
-                )
-            )
+        )
         noise = n * link.noise_power_mw
         empirical_snr = est.mean / noise - 1.0
         if empirical_snr > 0.0:
             snr_points.append((n, empirical_snr, est.half_width / z / noise))
 
-    if slope_ok and len(snr_points) == len(counts):
+    resolved = all(r.status != "inconclusive" for r in results)
+    if resolved and len(snr_points) == len(counts):
         logs = np.log([n for n, _, _ in snr_points])
         vals = np.log([snr for _, snr, _ in snr_points])
         slope = float(np.polyfit(logs, vals, 1)[0])
@@ -324,21 +307,17 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
         weights = centered / (centered @ centered)
         rel_se = np.array([se / snr for _, snr, se in snr_points])
         slope_se = float(np.sqrt(np.sum((weights * rel_se) ** 2)))
-        if 3.0 * slope_se > 0.05:
-            results.append(
-                CheckResult(
-                    "integration_snr_slope", "inconclusive", slope, 1.0, 0.05,
-                    f"inconclusive: slope too uncertain (3 SE = {3.0 * slope_se:.2g}"
-                    " > 0.05)",
-                )
+        unresolved = (
+            f"inconclusive: slope too uncertain (3 SE = {3.0 * slope_se:.2g} > 0.05)"
+            if 3.0 * slope_se > 0.05
+            else None
+        )
+        results.append(
+            _sampled(
+                "integration_snr_slope", slope, 1.0, 0.05,
+                "log-log slope of energy-derived SNR vs symbol count", unresolved,
             )
-        else:
-            results.append(
-                _quantitative(
-                    "integration_snr_slope", slope, 1.0, 0.05,
-                    "log-log slope of energy-derived SNR vs symbol count",
-                )
-            )
+        )
     else:
         results.append(
             CheckResult(
@@ -416,15 +395,11 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
                         frames=1,
                         snr_mode=mode,
                     )
-                    exact = capacity_under_pd_bisect(
-                        replace(scenario.query(), surrogate_mode="exact")
-                    ).max_uavs
-                    expanded = capacity_under_pd_bisect(
-                        replace(scenario.query(), surrogate_mode="expanded")
-                    ).max_uavs
-                    fixed = capacity_under_pd_bisect(
-                        replace(scenario.query(), surrogate_mode="fixed")
-                    ).max_uavs
+                    query = scenario.query()
+                    exact, expanded, fixed = (
+                        capacity_under_pd_bisect(replace(query, surrogate_mode=m)).max_uavs
+                        for m in SURROGATE_MODES
+                    )
                     worst_expanded = max(worst_expanded, abs(expanded - exact))
                     worst_fixed = max(worst_fixed, abs(fixed - exact))
     return [
@@ -513,43 +488,42 @@ def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
-    # Joint PD vs count: flat near 1, then a sharp drop; concave until the
-    # curve crosses the detection floor.
+    # Joint PD vs count: flat near 1, then a sharp drop; concave up to the
+    # first count below the floor (the crossing, from the exact solver). It
+    # is read at multiples of step up to there: at most 60 counts.
     name = "joint_pd_slow_then_sharp"
-    mean_one = mean_snr_at(config.query(), 1)
-    counts = list(range(1, 61))
-    pds = [joint_pd(mean_one / c, c, config.pfa) for c in counts]
-    crossing = next(
-        (i for i, value in enumerate(pds) if value < config.pd_threshold),
-        len(pds),
-    )
-    if crossing < 2:
-        # Fewer than three counts before the crossing: no second difference.
+    query = replace(config.query(), surrogate_mode="exact")
+    crossing = capacity_under_pd_bisect(query).max_uavs + 1
+    step = -(-crossing // 60)
+    mean_one = mean_snr_at(query, 1)
+    pds = [
+        joint_pd(mean_one / c, c, config.pfa)
+        for c in range(step, crossing + step, step)
+    ]
+    if len(pds) < 3:
+        # Fewer than three counts up to the crossing: no second difference.
         return [
             CheckResult(
                 name, "pass",
-                detail=f"joint PD is below the floor from count {crossing + 1} on: "
+                detail=f"joint PD is below the floor from count {crossing} on: "
                 "too few counts before the crossing for a second difference "
                 "(vacuous pass)",
             )
         ]
-    second = [
-        pds[i + 1] - 2.0 * pds[i] + pds[i - 1]
-        for i in range(1, min(crossing, len(pds) - 1))
-    ]
+    second = [pds[i + 1] - 2.0 * pds[i] + pds[i - 1] for i in range(1, len(pds) - 1)]
     # The curve saturates at exactly 1.0 in float64 while the SNR is huge,
     # so the leading second differences are exact zeros; past saturation
-    # they must be strictly negative, and the drop must be sharp.
-    concave = all(d <= 1e-15 for d in second) and min(second) < -1e-3
-    half = pds[max((crossing + 1) // 2 - 1, 0)]
+    # they must be at most rounding above 0. The drop is sharp if it bends
+    # harder than the parabola from 1 at count 0 to the floor at the
+    # crossing, a bound free of the curve's scale.
+    parabola = -2.0 * (1.0 - config.pd_threshold) * (step / crossing) ** 2
+    concave = all(d <= 1e-15 for d in second) and min(second) < parabola
+    half = pds[len(pds) // 2 - 1]
+    grid = f" every {step} counts" if step > 1 else ""
     return [
         CheckResult(
-            name,
-            _verdict(concave and half > 0.99),
-            min(second),
-            None,
-            None,
-            f"second differences <= 0 up to the crossing at {crossing + 1}; "
+            name, _verdict(concave and half > 0.99), min(second), None, None,
+            f"second differences <= 0{grid} up to the crossing at {crossing}; "
             f"joint PD still {half:.4f} at half the crossing count",
         )
     ]

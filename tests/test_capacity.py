@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from uavcap import capacity
 from uavcap.capacity import (
+    _REL_SLACK,
     CapacityQuery,
     capacity_under_pd_bisect,
     capacity_under_pd_scan,
@@ -16,7 +18,13 @@ from uavcap.capacity import (
     mean_snr_at,
 )
 from uavcap.config import parse_config
-from uavcap.detection import SURROGATE_MODES, joint_pd
+from uavcap.detection import (
+    SURROGATE_MODES,
+    SurrogateDomainError,
+    joint_pd,
+    log_joint_pd_surrogate,
+    q_inv,
+)
 from uavcap.geometry import SensingRegion
 from uavcap.link import db_to_linear, linear_to_db
 
@@ -188,11 +196,26 @@ def test_pd_capacity_solves_across_the_accepted_domain(
         finite = math.isfinite(mean_snr_at(query, 1))
     except OverflowError:
         finite = False
-    if finite:
-        assert capacity_under_pd_bisect(query).max_uavs >= 0
-    else:
+    if not finite:
         with pytest.raises(OverflowError):
             capacity_under_pd_bisect(query)
+        return
+    result = capacity_under_pd_bisect(query)
+    assert result.max_uavs >= 0
+    if surrogate_mode == "exact":
+        assert not result.surrogate_out_of_window
+    elif result.surrogate_out_of_window:
+        exact = capacity_under_pd_bisect(replace(query, surrogate_mode="exact"))
+        assert result.max_uavs == exact.max_uavs
+    else:
+        # The surrogate alone decided the answer, inside its window.
+        rho, xi = 2.0 * mean_snr_at(query, 1), q_inv(pfa)
+        ln_floor = math.log(pd_threshold)
+        floor = ln_floor - _REL_SLACK * abs(ln_floor)
+        count = result.max_uavs
+        if count >= 1:
+            assert log_joint_pd_surrogate(rho, xi, count, surrogate_mode) >= floor
+        assert log_joint_pd_surrogate(rho, xi, count + 1, surrogate_mode) < floor
 
 
 def test_scan_cap_reports_lower_bound() -> None:
@@ -215,12 +238,41 @@ def test_surrogate_modes_solve_and_land_near_exact() -> None:
     assert exact - fixed <= 4
 
 
-def test_surrogate_solver_survives_out_of_window_points() -> None:
-    # At L = 1 the surrogate domain is violated (x < -4); the solver must
-    # fall back to the exact objective there and still return the exact
-    # capacity for in-window crossings.
-    result = capacity_under_pd_bisect(_query(surrogate_mode="expanded"))
-    assert result.max_uavs >= 1
+def test_surrogate_out_of_window_solves_exactly_and_is_flagged() -> None:
+    # At 2 km the fixed surrogate fails the floor at 2 UAVs and cannot be
+    # evaluated at 1, below its window. A search mixing the two objectives
+    # per count once returned 1 here, though the exact joint PD at 2 UAVs
+    # is 0.985 >= 0.95.
+    config = parse_config(
+        "", {"surrogate_mode": "fixed", "pfa": "0.01", "radius_km": "2"}
+    )
+    query = config.query()
+    result = capacity_under_pd_bisect(query)
+    assert result.surrogate_out_of_window
+    assert result.max_uavs == 2
+    exact = capacity_under_pd_bisect(replace(query, surrogate_mode="exact"))
+    assert not exact.surrogate_out_of_window
+    assert exact.max_uavs == 2
+    with pytest.raises(SurrogateDomainError):
+        log_joint_pd_surrogate(2.0 * mean_snr_at(query, 1), q_inv(0.01), 1, "fixed")
+
+
+@pytest.mark.parametrize("mode", ["expanded", "fixed"])
+def test_surrogate_solve_starts_at_its_own_crossing(mode, monkeypatch) -> None:
+    # The seed is the surrogate's exact crossing, so the search needs at
+    # most two evaluations and the post-hoc check two more.
+    calls = 0
+    real = capacity.log_joint_pd_surrogate
+
+    def counting(*args: object) -> float:
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(capacity, "log_joint_pd_surrogate", counting)
+    result = capacity_under_pd_bisect(_query(surrogate_mode=mode))
+    assert not result.surrogate_out_of_window
+    assert 1 <= calls <= 4
 
 
 def test_max_satisfying_evaluation_budget() -> None:

@@ -20,6 +20,7 @@ from uavcap.detection import (
     q,
     q_exp_approx,
     q_inv,
+    surrogate_miss_inv,
 )
 
 # Frozen oracle values (pfa = 0.05 operating point).
@@ -220,3 +221,23 @@ def test_surrogate_domain_and_argument_errors() -> None:
         log_joint_pd_surrogate(10.0, xi, 0, "expanded")
     with pytest.raises(ValueError, match="mode"):
         log_joint_pd_surrogate(30.0, xi, 2, "rederived")
+
+
+@pytest.mark.parametrize("mode", ["expanded", "fixed"])
+@pytest.mark.parametrize("pfa", [1e-6, 0.01, 0.05, 0.2, 0.45])
+def test_surrogate_miss_inverse_solves_the_miss_term(mode: str, pfa: float) -> None:
+    # At L = 1 and rho = (xi + |x|)^2 the surrogate objective is minus the
+    # miss term at |x|, so evaluating it at the inverse gives the miss back.
+    xi = q_inv(pfa)
+    for miss in (1e-30, 1e-9, 1e-4, 0.01, 0.1, 0.3, 0.49):
+        depth = surrogate_miss_inv(xi, mode)(miss)
+        if 0.0 <= depth <= 4.0:
+            rho = (xi + depth) ** 2
+            assert -log_joint_pd_surrogate(rho, xi, 1, mode) == pytest.approx(
+                miss, rel=1e-12
+            )
+    if mode == "expanded":
+        # The expanded miss term is q_exp_approx itself.
+        assert q_exp_approx(surrogate_miss_inv(xi, mode)(1e-3)) == pytest.approx(
+            1e-3, rel=1e-12
+        )

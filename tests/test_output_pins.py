@@ -33,7 +33,8 @@ _PINS = {
     ("k4_unnormalized", "validate"): (0, "df5c2b0c7b97b9d518043b3137f2d80d7f43fd756fc78a3c0eaa4e4c7523b1c1"),
     ("fixed_pfa01", "snr-vs-uavs"): (0, "2bec927fd84d58bbe9dd6185615e9f7bf36f4f54b2c12d6ff23a10fcfa5134f5"),
     ("fixed_pfa01", "pd-vs-uavs"): (0, "d13cbc6e12fe95404426cee1b26d02cd1115cdcb6a96dc69f70e3194ef6dfe93"),
-    ("fixed_pfa01", "capacity-vs-radius"): (0, "6f7defa06d5cef5143db19d6f937cf54ab94eebeee6a471f8c3e11e6c492c082"),
+    # At 2 km the fixed surrogate leaves its window, so pd_capacity is the exact 2, not 1.
+    ("fixed_pfa01", "capacity-vs-radius"): (0, "890c0d03faf98f3dcab4712857819ea724aa208bd7ac9de9fe347e3186014aa2"),
     ("fixed_pfa01", "capacity-vs-frames"): (0, "45337c709017d3cf45e606c084e40addbcdcba877e51b5d2a7e485ba79110c54"),
     ("fixed_pfa01", "capacity-vs-power"): (0, "cdf800c3c333889e8cfcb6020095b16f93987d51d87895e695c6ad47eca44c94"),
     ("fixed_pfa01", "validate"): (0, "c8ddf10b34fe6a4e4ea57969c1f2d111721df7c9a11d0f219d15f6d8c9d4b12c"),

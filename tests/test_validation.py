@@ -13,6 +13,7 @@ from uavcap.validation import (
     CheckResult,
     _density_checks,
     _integration_checks,
+    _joint_pd_slow_then_sharp,
     _surrogate_capacity_check,
     failed_checks,
     render_validation_csv,
@@ -161,6 +162,36 @@ def test_a_raising_trend_check_costs_only_its_own_row(
     assert rows["joint_pd_slow_then_sharp"].status == "fail"
     assert rows["joint_pd_slow_then_sharp"].detail == "ValueError: broken"
     assert [rows[name].status for name in TREND_CHECKS] == ["pass"] * 3
+
+
+@pytest.mark.parametrize(
+    "overrides, crossing",
+    [
+        ({"frames": "4", "surrogate_mode": "fixed", "pfa": "0.01"}, 93),
+        ({"radius_ratio": "1000"}, 2431),
+        ({"pd_threshold": "0.99"}, 29),
+        ({"frames": "1000000000"}, 10113966867),
+    ],
+)
+def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
+    overrides: dict[str, str], crossing: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The check once read counts 1-60 only and held the drop to an absolute
+    # second difference, so crossings past 60 and high floors failed.
+    calls = 0
+    real = uavcap.validation.joint_pd
+
+    def counting(*args: object) -> float:
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(uavcap.validation, "joint_pd", counting)
+    [row] = _joint_pd_slow_then_sharp(parse_config("", overrides))
+    assert row.status == "pass"
+    assert f"up to the crossing at {crossing};" in row.detail
+    assert row.measured < 0.0
+    assert calls <= 60
 
 
 def _slope_row(config) -> CheckResult:
