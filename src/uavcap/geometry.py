@@ -154,19 +154,6 @@ def sample_positions(
     return ranges, elevations, azimuths
 
 
-def sample_ranges(
-    region: SensingRegion, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw count i.i.d. ranges from the radial marginal (km).
-
-    Consumes exactly count uniforms from rng: for statistics that read the
-    range alone, it skips the elevation and azimuth draws of sample_positions.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return _ranges_from_unit(region, rng.random(count))
-
-
 def expected_inverse_quartic_range(region: SensingRegion) -> float:
     """E[r^-4] under the normalized density: 3 eps^3 / (R^4 (eps^2 + eps + 1)).
 

@@ -14,13 +14,13 @@ benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
 positionally, and goes once the benchmark stops passing it.
 
 Each kernel draws only the samples its statistic reads: mean SNR one
-uniform per trial (the range), detection one real normal block that both
-hypotheses share (the LLR reads only the real part of the noise sum; H0
-scores the block, H1 the block plus the echo, as common random numbers),
-and the integration energy both the real and the imaginary noise blocks. The
-cpi_symbols noise symbols of a trial are summed left to right, one column
-at a time (_row_sums), so the summation order is fixed here rather than by
-numpy's reduction.
+uniform per trial (a log-uniform range, importance-weighted), detection one
+real normal block that both hypotheses share (the LLR reads only the real
+part of the noise sum; H0 and H1 compare the block's raw sums against two
+thresholds, as common random numbers), and the integration energy both the
+real and the imaginary noise blocks. The cpi_symbols noise symbols of a
+trial are summed left to right, one column at a time (_row_sums), so the
+summation order is fixed here rather than by numpy's reduction.
 
 Estimates carry two-sided confidence half-widths (normal approximation;
 binomial standard error for rates).
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .detection import lrt_threshold, q_inv
-from .geometry import SensingRegion, sample_ranges
+from .geometry import SensingRegion
 from .link import RadarLinkParams, per_uav_snr
 
 # numpy is imported only where arrays are built, so that the closed-form
@@ -144,20 +144,20 @@ def _noise_sums(
 
 
 def _reduce_mean(
-    parts: Sequence[tuple[float, ...]], plan: TrialPlan
+    parts: Sequence[tuple[float, ...]], plan: TrialPlan, scale: float = 1.0
 ) -> EmpiricalEstimate:
-    """Combine per-chunk (sum, sum of squares) into mean +- z * s / sqrt(n)."""
+    """Combine per-chunk (sum, sum of squares) into scale * (mean +- z s / sqrt(n))."""
     n = plan.trials
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / n
     if n > 1:
         variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        half = confidence_z(plan.confidence) * math.sqrt(variance / n)
+        half = scale * confidence_z(plan.confidence) * math.sqrt(variance / n)
     else:
         # One trial gives no spread estimate, so the interval is unbounded.
         half = math.inf
-    return EmpiricalEstimate(mean=mean, half_width=half, trials=n)
+    return EmpiricalEstimate(mean=scale * mean, half_width=half, trials=n)
 
 
 def _rate_estimate(successes: int, plan: TrialPlan) -> EmpiricalEstimate:
@@ -176,36 +176,42 @@ def mc_mean_snr(
 ) -> EmpiricalEstimate:
     """Mean per-target SNR over random positions (linear scale).
 
-    Samples positions from the region's normalized density and averages
-    per_uav_snr over the sampled ranges, so this estimates the
-    "normalized" closed form; the "unnormalized" one differs by exactly
-    the sin(max_elevation) factor. Raises ZeroDivisionError or
-    OverflowError, before drawing, when the per-trial SNR at the inner
-    radius (the largest one) is not a finite float.
+    Estimates E[per_uav_snr(r)] under the normalized radial density
+    f(r) = 3 r^2 / (R^3 - r_in^3), the "normalized" closed form; the
+    "unnormalized" one differs by exactly the sin(max_elevation) factor.
+    Ranges are importance-sampled from the log-uniform g(r) = 1 / (r ln eps):
+    r = r_in eps^u for one uniform u per trial, weighted by f(r) / g(r). The
+    weighted SNR is K r_in / r = K exp(-u ln eps), with
+    K = per_uav_snr(1 km) 3 ln eps / ((R^3 - r_in^3) r_in), so its relative
+    variance grows as ln eps, not as eps^3 like r^-4 drawn from f. Only the
+    density f is read, never the closed-form moment, so the oracle stays
+    independent. Raises ZeroDivisionError or OverflowError, before drawing,
+    when K, the largest weighted value, is not a finite float.
     """
     import numpy as np
 
     # per_uav_snr(d) = C / d^4; evaluate the d = 1 km constant once through
     # the real link-budget route so a defect there shifts this estimate.
-    snr_at_unit = per_uav_snr(params, 1.0)
-    # Checked on Python floats, which raise where numpy would warn and
-    # carry inf or nan into the estimate.
-    if not math.isfinite(snr_at_unit / region.inner_range**4):
+    # R^3 - r_in^3 is R^3 (1 - eps^-3), written with expm1 so that it does
+    # not cancel as eps -> 1. Checked on Python floats, which raise where
+    # numpy would warn and carry inf or nan into the estimate.
+    log_ratio = math.log(region.radius_ratio)
+    shell = region.max_range**3 * -math.expm1(-3.0 * log_ratio)
+    weight = per_uav_snr(params, 1.0) * 3.0 * log_ratio / (shell * region.inner_range)
+    if not math.isfinite(weight):
         raise OverflowError(
-            f"mean SNR: the per-trial SNR at the inner range "
+            f"mean SNR: the weighted per-trial SNR at the inner range "
             f"{region.inner_range:g} km is not finite"
         )
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        values = sample_ranges(region, rng, count)
-        # r^4 as two exact squares, with no pow() pass.
-        np.square(values, out=values)
-        np.square(values, out=values)
-        np.divide(snr_at_unit, values, out=values)
+        values = rng.random(count)
+        values *= -log_ratio
+        np.exp(values, out=values)
         return float(np.sum(values)), float(np.dot(values, values))
 
     parts = _run_chunks(plan, TAG_POSITIONS, kernel, salt)
-    return _reduce_mean(parts, plan)
+    return _reduce_mean(parts, plan, weight)
 
 
 def mc_detection_rates(
@@ -223,10 +229,10 @@ def mc_detection_rates(
     amplitude sqrt(snr / cpi_symbols), and the LLR is compared against
     lrt_threshold(snr, pfa). The LLR reads only the real part of the sum,
     so only the real noise parts (variance 1/2 each) are drawn: one block
-    per chunk, shared by both hypotheses. False alarms are scored on it
-    and detections on it plus the summed amplitude. Each rate is still an
-    unbiased binomial estimate, and since the LLR is monotone in the noise
-    sum, every false alarm is also a detection.
+    per chunk, shared by both hypotheses, whose raw per-trial sums are
+    compared against one folded LLR threshold per hypothesis. Each rate is
+    still an unbiased binomial estimate, and since the LLR is monotone in
+    the noise sum, every false alarm is also a detection.
     """
     import numpy as np
 
@@ -240,25 +246,21 @@ def mc_detection_rates(
     n_sym = cpi_symbols
     # After summing N symbols: signal amplitude N * sqrt(snr/N), noise
     # variance N, so the LLR statistic 2 Re(conj(sum) A_eff)/sigma_eff^2
-    # - A_eff^2/sigma_eff^2 has mean +-snr and variance 2 snr.
+    # - A_eff^2/sigma_eff^2 has mean +-snr and variance 2 snr. It exceeds
+    # gamma when Re(sum) > (gamma sigma_eff^2 + A_eff^2) / (2 A_eff), and
+    # Re(sum) is sqrt(1/2) S under H0 and sqrt(1/2) S + A_eff under H1, for
+    # S the raw sum of N standard normals: one threshold on S per hypothesis.
     amp_eff = n_sym * math.sqrt(snr / n_sym)
     var_eff = float(n_sym)
-    scale = math.sqrt(0.5)
-
-    def llr_hits(summed: np.ndarray) -> int:
-        # (2 A_eff summed - A_eff^2) / sigma_eff^2 > gamma, in place.
-        summed *= 2.0 * amp_eff
-        summed -= amp_eff * amp_eff
-        summed /= var_eff
-        return int(np.count_nonzero(summed > gamma))
+    unit = 2.0 * amp_eff * math.sqrt(0.5)
+    false_alarm_at = (gamma * var_eff + amp_eff * amp_eff) / unit
+    detection_at = (gamma * var_eff - amp_eff * amp_eff) / unit
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
         # One noise block serves both hypotheses (common random numbers).
-        # llr_hits overwrites its argument, so H1 is built before H0 is scored.
-        noise = _noise_sums(rng, count, n_sym, scale)
-        received = noise + amp_eff
-        false_alarms = llr_hits(noise)
-        detections = llr_hits(received)
+        sums = _row_sums(rng.standard_normal((count, n_sym)))
+        detections = np.count_nonzero(sums > detection_at)
+        false_alarms = np.count_nonzero(sums > false_alarm_at)
         return float(detections), float(false_alarms)
 
     parts = _run_chunks(plan, TAG_DETECTION, kernel, salt)

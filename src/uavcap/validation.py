@@ -488,9 +488,9 @@ def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[CheckResult]:
 
 
 def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
-    # Joint PD vs count: flat near 1, then a sharp drop; concave up to the
-    # first count below the floor (the crossing, from the exact solver). It
-    # is read at multiples of step up to there: at most 60 counts.
+    # Joint PD vs count: flat near 1, then a sharp drop up to the first
+    # count below the floor (the crossing, from the exact solver). It is
+    # read at multiples of step up to there: at most 60 counts.
     name = "joint_pd_slow_then_sharp"
     query = replace(config.query(), surrogate_mode="exact")
     crossing = capacity_under_pd_bisect(query).max_uavs + 1
@@ -510,20 +510,28 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
                 "(vacuous pass)",
             )
         ]
-    second = [pds[i + 1] - 2.0 * pds[i] + pds[i - 1] for i in range(1, len(pds) - 1)]
-    # The curve saturates at exactly 1.0 in float64 while the SNR is huge,
-    # so the leading second differences are exact zeros; past saturation
-    # they must be at most rounding above 0. The drop is sharp if it bends
-    # harder than the parabola from 1 at count 0 to the floor at the
-    # crossing, a bound free of the curve's scale.
+    bend = [pds[i + 1] - 2.0 * pds[i] + pds[i - 1] for i in range(1, len(pds) - 1)]
+    # The shape is -ln PD = L m(L), convex in the count L; PD = exp(-L m(L))
+    # itself bends back below 1/e, so under such a floor PD's second
+    # differences turn positive on a sound curve. Where PD saturates at 1.0
+    # in float64 the log's second differences are exact zeros, elsewhere at
+    # most rounding below 0. The drop is sharp if PD bends harder than the
+    # parabola from 1 at count 0 to the floor at the crossing, a bound free
+    # of the curve's scale.
+    logs = [-math.log(p) for p in pds]
+    convex = all(
+        logs[i + 1] - 2.0 * logs[i] + logs[i - 1] >= -1e-15 for i in range(1, len(logs) - 1)
+    )
     parabola = -2.0 * (1.0 - config.pd_threshold) * (step / crossing) ** 2
-    concave = all(d <= 1e-15 for d in second) and min(second) < parabola
     half = pds[len(pds) // 2 - 1]
     grid = f" every {step} counts" if step > 1 else ""
+    shape = "second differences <= 0" if max(bend) <= 1e-15 else (
+        "-ln(joint PD) second differences >= 0")
     return [
         CheckResult(
-            name, _verdict(concave and half > 0.99), min(second), None, None,
-            f"second differences <= 0{grid} up to the crossing at {crossing}; "
+            name, _verdict(convex and min(bend) < parabola and half > 0.99),
+            min(bend), None, None,
+            f"{shape}{grid} up to the crossing at {crossing}; "
             f"joint PD still {half:.4f} at half the crossing count",
         )
     ]

@@ -232,8 +232,9 @@ def test_validate_reports_a_raising_group_as_a_fail_row(
     assert code == 1
     assert rows["density_checks"][1] == "fail"
     assert rows["density_checks"][5].startswith(f"{error}: ")
-    # The range sampler and the sampled mean SNR raise before they draw,
-    # rather than report nan or inf under a numpy warning.
+    # The range sampler raises before it draws, and the mean-SNR group raises
+    # (from its sampler's weight or its closed form), rather than report nan
+    # or inf under a numpy warning.
     for group in ("sampler_checks", "snr_checks"):
         assert rows[group][1] == "fail"
         assert rows[group][5].startswith(("ZeroDivisionError: ", "OverflowError: "))

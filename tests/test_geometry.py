@@ -13,7 +13,6 @@ from uavcap.geometry import (
     expected_inverse_quartic_range,
     position_pdf,
     sample_positions,
-    sample_ranges,
 )
 from uavcap.montecarlo import substream
 
@@ -164,14 +163,12 @@ def test_sampler_marginals_pass_ks(reference_region: SensingRegion) -> None:
 def test_sampler_rejects_negative_count(reference_region: SensingRegion) -> None:
     with pytest.raises(ValueError, match="count"):
         sample_positions(reference_region, substream(1, 1, 0), -1)
-    with pytest.raises(ValueError, match="count"):
-        sample_ranges(reference_region, substream(1, 1, 0), -1)
 
 
-def test_sample_ranges_follow_radial_cdf() -> None:
+def test_sampled_ranges_follow_radial_cdf() -> None:
     region = SensingRegion(1.7, 6.0, 1.1)
     n = 20_000
-    ranges = sample_ranges(region, substream(97531, 1, 0), n)
+    ranges, _, _ = sample_positions(region, substream(97531, 1, 0), n)
     inner3, outer3 = region.inner_range**3, region.max_range**3
     cdf = lambda r: (np.asarray(r) ** 3 - inner3) / (outer3 - inner3)
     critical = float(stats.kstwobign.isf(0.01)) / math.sqrt(n)
@@ -179,12 +176,12 @@ def test_sample_ranges_follow_radial_cdf() -> None:
 
 
 @pytest.mark.parametrize("count", [0, 1, 4096])
-def test_sample_ranges_consume_count_uniforms(
+def test_sample_positions_consume_three_uniforms_per_position(
     reference_region: SensingRegion, count: int
 ) -> None:
     rng = substream(2024, 1, 3)
-    sample_ranges(reference_region, rng, count)
-    assert rng.random() == substream(2024, 1, 3).random(count + 1)[count]
+    sample_positions(reference_region, rng, count)
+    assert rng.random() == substream(2024, 1, 3).random(3 * count + 1)[3 * count]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from uavcap.validation import (
     _density_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
+    _snr_checks,
     _surrogate_capacity_check,
     failed_checks,
     render_validation_csv,
@@ -81,6 +82,32 @@ def test_snr_check_catches_a_link_budget_defect(
     by_name = {result.name: result for result in results}
     gap = by_name["mean_snr_mc_vs_closed_form"]
     assert abs(gap.measured - gap.expected) > 25.0  # dB
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5", "6"])
+def test_snr_check_catches_a_closed_form_defect_at_radius_ratio_30(
+    seed: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Raise the closed form's E[r^-4] by 1.5 dB; the sampled oracle does not
+    # read it. Sampling r^-4 from the r^2 density gave a tolerance of
+    # 1.37-1.78 dB here and passed the defect at five of these six seeds.
+    real = uavcap.link.expected_inverse_quartic_range
+    monkeypatch.setattr(
+        uavcap.link, "expected_inverse_quartic_range",
+        lambda region: real(region) * 10.0**0.15,
+    )
+    config = parse_config("", {"radius_ratio": "30", "seed": seed})
+    rows = {row.name: row for row in _snr_checks(config)}
+    for name in ("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap"):
+        assert rows[name].status == "fail"
+        assert rows[name].tolerance < 0.5
+
+
+def test_mean_snr_rows_pass_at_a_wide_large_region() -> None:
+    # Once 94 % low, 33 half-widths off, so `validate --set radius_km=1000
+    # --set radius_ratio=1000` exited 1.
+    rows = _snr_checks(parse_config("", {"radius_km": "1000", "radius_ratio": "1000"}))
+    assert [row.status for row in rows] == ["pass", "pass"]
 
 
 def test_report_round_trips_config_and_schema() -> None:
@@ -171,6 +198,9 @@ def test_a_raising_trend_check_costs_only_its_own_row(
         ({"radius_ratio": "1000"}, 2431),
         ({"pd_threshold": "0.99"}, 29),
         ({"frames": "1000000000"}, 10113966867),
+        # Below PD = 1/e the curve bends back, so PD's own second
+        # differences turn positive; -ln PD stays convex.
+        ({"pd_threshold": "0.3"}, 54),
     ],
 )
 def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
