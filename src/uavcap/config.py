@@ -63,7 +63,8 @@ _NOISE_KEYS = {
 class ScenarioConfig:
     """Fully resolved scenario; field defaults are the reference operating point.
 
-    Every field but ``frames_explicit`` is a config key, in document order.
+    Every field is a config key, in document order; an optional key left
+    unset is None.
     """
 
     tx_power_dbm: float = _key(58.0)
@@ -92,21 +93,16 @@ class ScenarioConfig:
     trials: int = _key(100_000, low=0)
     seed: int = _key(DEFAULT_SEED, low=0)
     confidence: float = _key(0.99, low=0.0, high=1.0, low_open=True, high_open=True)
-    frames: int = _key(1, low=1)
+    # Unset: one frame per solve, and curves for 1, 3 and 5 frames in the
+    # uav-count sweeps; set, it is the one budget and the one curve.
+    frames: int | None = _key(None, low=1)
     sweep_start: float | None = _key(None)
     sweep_stop: float | None = _key(None)
     sweep_step: float | None = _key(None, low=0.0, low_open=True)
-    # True when `frames` appeared explicitly; uav-count sweeps then plot
-    # that single frame count instead of the default {1, 3, 5} curves.
-    frames_explicit: bool = False
-
-    @property
-    def total_symbols(self) -> int:
-        return self.frames * self.symbols_per_frame
 
     @property
     def frame_curves(self) -> tuple[int, ...]:
-        return (self.frames,) if self.frames_explicit else (1, 3, 5)
+        return (1, 3, 5) if self.frames is None else (self.frames,)
 
     def region(self) -> SensingRegion:
         return SensingRegion(self.radius_km, self.radius_ratio, self.max_elevation_rad)
@@ -134,13 +130,13 @@ class ScenarioConfig:
             trials=self.trials, master_seed=self.seed, confidence=self.confidence
         )
 
-    def query(self, frames: int | None = None) -> CapacityQuery:
-        n_frames = self.frames if frames is None else frames
+    def query(self) -> CapacityQuery:
         return CapacityQuery(
             link=self.link(),
             region=self.region(),
             spec=self.detection(),
-            total_symbols=n_frames * self.symbols_per_frame,
+            total_symbols=(1 if self.frames is None else self.frames)
+            * self.symbols_per_frame,
             snr_mode=self.snr_mode,
             surrogate_mode=self.surrogate_mode,
         )
@@ -150,9 +146,7 @@ class ScenarioConfig:
         return [
             (f.name, str(value))
             for f in fields(self)
-            if f.metadata
-            and (value := getattr(self, f.name)) is not None
-            and (f.name != "frames" or self.frames_explicit)
+            if (value := getattr(self, f.name)) is not None
         ]
 
 
@@ -160,7 +154,6 @@ class ScenarioConfig:
 _KEYS: dict[str, tuple[str, Mapping[str, object]]] = {
     f.name: (f.type.partition(" ")[0], f.metadata)
     for f in fields(ScenarioConfig)
-    if f.metadata
 }
 _KEYS.update((name, ("float", f.metadata)) for name, f in _NOISE_KEYS.items())
 
@@ -244,8 +237,7 @@ def parse_config(
                 f"bandwidth_mhz: must give a finite noise power, got {bandwidth:g}"
             )
 
-    frames_explicit = "frames" in values
-    config = ScenarioConfig(**values, frames_explicit=frames_explicit)  # type: ignore[arg-type]
+    config = ScenarioConfig(**values)  # type: ignore[arg-type]
 
     # Cross-field checks that single-key ranges cannot express.
     if config.sweep_start is not None and config.sweep_stop is not None:
@@ -257,11 +249,8 @@ def parse_config(
     return config
 
 
-def with_overrides(config: ScenarioConfig, **changes: object) -> ScenarioConfig:
-    """dataclasses.replace with the frames-explicit bookkeeping applied."""
-    if "frames" in changes:
-        changes.setdefault("frames_explicit", True)
-    return replace(config, **changes)  # type: ignore[arg-type]
+# Kept only because perfbench/workloads.py calls it.
+with_overrides = replace
 
 
 def render_csv(

@@ -12,10 +12,11 @@ lines (re-parsable by parse_config).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 from .capacity import capacity_under_pd_bisect, capacity_under_snr, mean_snr_at
-from .config import ConfigError, ScenarioConfig, render_csv, with_overrides
+from .config import ConfigError, ScenarioConfig, render_csv
 from .detection import SurrogateDomainError, joint_pd, log_joint_pd_surrogate, q_inv
 from .geometry import density_mass
 from .link import linear_to_db
@@ -122,7 +123,7 @@ def _uav_count_rows(
     mode_factor = density_mass(config.region(), config.snr_mode)
     for ordinal, frames in enumerate(config.frame_curves):
         try:
-            query = config.query(frames=frames)
+            query = replace(config, frames=frames).query()
             mean_one = mean_snr_at(query, 1)
             rho = 2.0 * mean_one
             mc_base = None
@@ -179,7 +180,7 @@ def _capacity_row(kind: str, config: ScenarioConfig, value: float) -> dict[str, 
     swept = _KINDS[kind].columns[0]
     point = int(value) if _KINDS[kind].integer else value
     try:
-        query = with_overrides(config, **{swept: point}).query()
+        query = replace(config, **{swept: point}).query()
         by_snr = capacity_under_snr(query)
         by_pd = capacity_under_pd_bisect(query)
         return {

@@ -22,7 +22,7 @@ from .capacity import (
     capacity_under_snr,
     mean_snr_at,
 )
-from .config import ScenarioConfig, render_csv, with_overrides
+from .config import ScenarioConfig, render_csv
 from .detection import SURROGATE_MODES, joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
     DENSITY_MODES,
@@ -297,7 +297,6 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
     if resolved and len(snr_points) == len(counts):
         logs = np.log([n for n, _, _ in snr_points])
         vals = np.log([snr for _, snr, _ in snr_points])
-        slope = float(np.polyfit(logs, vals, 1)[0])
         # The least-squares slope is sum(w_i ln SNR_i) with weights
         # w_i = (x_i - mean x) / sum((x_j - mean x)^2), x = ln N, and each
         # ln SNR_i has standard error SE(SNR_i) / SNR_i. At a faint echo the
@@ -305,6 +304,7 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
         # the slope's own error, not the energies', that decides resolution.
         centered = logs - logs.mean()
         weights = centered / (centered @ centered)
+        slope = float(weights @ vals)
         rel_se = np.array([se / snr for _, snr, se in snr_points])
         slope_se = float(np.sqrt(np.sum((weights * rel_se) ** 2)))
         unresolved = (
@@ -347,7 +347,7 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
     worst = 0
     for _ in range(50):
         u = rng.random(8)
-        scenario = with_overrides(
+        scenario = replace(
             config,
             radius_km=0.5 + 1.5 * u[0],
             radius_ratio=2.0 + 18.0 * u[1],
@@ -386,7 +386,7 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
         for power in (56.0, 58.0):
             for floor in (0.9, 0.95, 0.99):
                 for mode in DENSITY_MODES:
-                    scenario = with_overrides(
+                    scenario = replace(
                         config,
                         radius_km=radius,
                         radius_ratio=ratio,
@@ -419,10 +419,9 @@ def _capacity_radius_monotone(config: ScenarioConfig) -> list[CheckResult]:
     for power in (50.0, 54.0, 58.0):
         previous: tuple[int, int] | None = None
         for radius in np.arange(0.5, 2.01, 0.25):
-            scenario = with_overrides(
+            query = replace(
                 config, radius_km=float(radius), tx_power_dbm=power
-            )
-            query = scenario.query()
+            ).query()
             caps = (
                 capacity_under_snr(query).max_uavs,
                 capacity_under_pd_bisect(query).max_uavs,
@@ -459,7 +458,10 @@ def _origin_fit_dev(caps: list[int]) -> float:
 
 
 def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[CheckResult]:
-    caps = [capacity_under_snr(config.query(frames=f)).max_uavs for f in _TREND_FRAMES]
+    caps = [
+        capacity_under_snr(replace(config, frames=f).query()).max_uavs
+        for f in _TREND_FRAMES
+    ]
     return [
         _quantitative(
             "snr_capacity_frames_proportional", _origin_fit_dev(caps), 0.0, 1.0,
@@ -470,7 +472,7 @@ def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[CheckResul
 
 def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[CheckResult]:
     caps = [
-        capacity_under_pd_bisect(config.query(frames=f)).max_uavs
+        capacity_under_pd_bisect(replace(config, frames=f).query()).max_uavs
         for f in _TREND_FRAMES
     ]
     dev = _origin_fit_dev(caps)

@@ -327,7 +327,7 @@ def test_criterion_08_capacity_trends() -> None:
         snr_caps = []
         pd_caps = []
         for f in frames:
-            query = parse_config(f"snr_mode = {mode}\n").query(frames=f)
+            query = parse_config(f"snr_mode = {mode}\nframes = {f}\n").query()
             snr_caps.append(capacity_under_snr(query).max_uavs)
             pd_caps.append(capacity_under_pd_bisect(query).max_uavs)
         xs = np.asarray(frames, dtype=float)
@@ -417,7 +417,7 @@ def test_criterion_10_deterministic_cli(tmp_path: Path) -> None:
         if line.startswith("#") and " = " in line and "kind" not in line
     ]
     config = parse_config("\n".join(header_lines))
-    mean_one = mean_snr_at(config.query(frames=1), 1)
+    mean_one = mean_snr_at(replace(config, frames=1).query(), 1)
     row = next(
         line.split(",")
         for line in text.splitlines()

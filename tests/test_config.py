@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,8 @@ def test_empty_document_is_reference_scenario() -> None:
     assert config.tx_power_dbm == 58.0
     assert config.noise_power_dbm == pytest.approx(-94.0)
     assert config.seed == DEFAULT_SEED
-    assert config.total_symbols == 14
+    assert config.frames is None
+    assert config.query().total_symbols == 14
     assert config.frame_curves == (1, 3, 5)
 
 
@@ -126,9 +128,9 @@ def test_noise_density_resolves_to_total_power() -> None:
 
 def test_explicit_frames_collapses_curves() -> None:
     config = parse_config("frames = 5\n")
-    assert config.frames_explicit
+    assert config.frames == 5
     assert config.frame_curves == (5,)
-    assert config.total_symbols == 70
+    assert config.query().total_symbols == 70
     assert ("frames", "5") in config.document_items()
 
 
@@ -143,7 +145,8 @@ def test_overrides_replace_document_values() -> None:
     config = parse_config("pfa = 0.05\n", overrides={"pfa": "0.02", "frames": "3"})
     assert config.pfa == 0.02
     assert config.frames == 3
-    assert config.frames_explicit
+    assert config.frame_curves == (3,)
+    assert ("frames", "3") in config.document_items()
 
 
 def test_override_validation() -> None:
@@ -161,9 +164,11 @@ def test_sweep_bounds_ordering() -> None:
 
 
 def test_with_overrides_tracks_explicit_frames() -> None:
+    # The old name of dataclasses.replace: a set `frames` is its own record.
+    assert with_overrides is replace
     base = parse_config("")
-    assert with_overrides(base, frames=2).frame_curves == (2,)
-    assert with_overrides(base, trials=10).frame_curves == (1, 3, 5)
+    assert replace(base, frames=2).frame_curves == (2,)
+    assert replace(base, trials=10).frame_curves == (1, 3, 5)
 
 
 def test_scenario_factories_consistent() -> None:
@@ -173,7 +178,8 @@ def test_scenario_factories_consistent() -> None:
     assert config.detection().pfa == 0.05
     assert config.plan().master_seed == DEFAULT_SEED
     assert config.query().total_symbols == 28
-    assert config.query(frames=1).total_symbols == 14
+    assert replace(config, frames=1).query().total_symbols == 14
+    assert replace(config, frames=None).query().total_symbols == 14
     assert config.max_elevation_rad == pytest.approx(math.pi / 5.0)
 
 
@@ -246,6 +252,7 @@ def test_every_accepted_config_round_trips(values: dict) -> None:
         # The one in-range value refused: a band so wide its noise overflows.
         assert str(exc).startswith("bandwidth_mhz: must give a finite noise power")
         return
+    assert (config.frame_curves == (1, 3, 5)) == ("frames" not in values)
     dumped = "\n".join(f"{key} = {value}" for key, value in config.document_items())
     assert parse_config(dumped) == config
     header = render_sweep_csv("pd-vs-uavs", config, []).splitlines()[2:]
@@ -263,6 +270,13 @@ def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
     assert len(documented) == len(set(documented)) == 25
+
+
+def test_every_field_is_a_config_key() -> None:
+    names = [f.name for f in fields(ScenarioConfig)]
+    noise_form = {"noise_density_dbm_hz", "bandwidth_mhz"}
+    assert names == [key for key in _KEYS if key not in noise_form]
+    assert len(names) == 23
 
 
 def test_readme_library_section_names_only_exported_names() -> None:

@@ -1,10 +1,11 @@
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
 from uavcap.capacity import mean_snr_at
-from uavcap.config import ConfigError, parse_config, with_overrides
+from uavcap.config import ConfigError, parse_config
 from uavcap.detection import joint_pd
 from uavcap.sweeps import (
     MAX_SWEEP_POINTS,
@@ -79,7 +80,7 @@ def test_frames_curves_default_and_explicit() -> None:
     config = parse_config("trials = 0\nsweep_stop = 4\n")
     rows = run_sweep("pd-vs-uavs", config)
     assert [row["frames"] for row in rows] == [1] * 4 + [3] * 4 + [5] * 4
-    single = run_sweep("pd-vs-uavs", with_overrides(config, frames=2))
+    single = run_sweep("pd-vs-uavs", replace(config, frames=2))
     assert [row["frames"] for row in single] == [2] * 4
 
 
