@@ -252,9 +252,9 @@ def capacity_under_pd_scan(
     def holds(num_uavs: int) -> bool:
         return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= ln_floor
 
-    num = 1
-    while num <= cap and holds(num):
-        num += 1
-    if num > cap:
-        return _make_result(query, mean_one, cap, "pd", holds, cap_reached=True)
-    return _make_result(query, mean_one, num - 1, "pd", holds)
+    # The objective is written out in the loop, not called through holds,
+    # to save a Python frame per count; holds serves the post-hoc check.
+    for num in range(1, cap + 1):
+        if not num * log_pd_single(mean_one / num, xi) >= ln_floor:
+            return _make_result(query, mean_one, num - 1, "pd", holds)
+    return _make_result(query, mean_one, cap, "pd", holds, cap_reached=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erfc, log, log1p, sqrt
 from statistics import NormalDist
 from typing import Callable
 
@@ -96,11 +97,12 @@ def log_pd_single(snr: float, xi: float) -> float:
     to a double would lose accuracy in proportion to 1 / miss. Otherwise it
     is ln Q(xi - sqrt(2 snr)) itself, -inf where Q underflows.
     """
-    margin = math.sqrt(2.0 * snr) - xi
+    # The solvers' inner loop: Q is inlined and its math names bound at import.
+    margin = sqrt(2.0 * snr) - xi
     if margin >= 0.0:
-        return math.log1p(-q(margin))
-    pd = q(-margin)
-    return math.log(pd) if pd > 0.0 else -math.inf
+        return log1p(-0.5 * erfc(margin / _SQRT2))
+    pd = 0.5 * erfc(-margin / _SQRT2)
+    return log(pd) if pd > 0.0 else -math.inf
 
 
 def joint_pd(mean_snr: float, num_uavs: int, pfa: float) -> float:

@@ -227,6 +227,39 @@ def test_scan_cap_reports_lower_bound() -> None:
         capacity_under_pd_scan(_query(), cap=0)
 
 
+def _recorded_counts(monkeypatch, **scan_args: object) -> tuple[list[int], int]:
+    # The counts whose objective the scan evaluates, in call order.
+    query = _query()
+    mean_one = mean_snr_at(query, 1)
+    snrs = []
+    real = capacity.log_pd_single
+
+    def recording(snr: float, xi: float) -> float:
+        snrs.append(snr)
+        return real(snr, xi)
+
+    monkeypatch.setattr(capacity, "log_pd_single", recording)
+    result = capacity_under_pd_scan(query, **scan_args)
+    counts = [round(mean_one / snr) for snr in snrs]
+    assert snrs == [mean_one / count for count in counts]
+    return counts, result.max_uavs
+
+
+def test_scan_evaluates_every_count_in_order(monkeypatch) -> None:
+    # The scan is the bisection's oracle, so it must stay exhaustive: every
+    # count from 1 up to the first failing one, then the post-hoc pair.
+    counts, best = _recorded_counts(monkeypatch)
+    assert best == PD_CAPACITY_NORMALIZED
+    assert counts == [*range(1, best + 2), best, best + 1]
+
+
+def test_scan_at_its_cap_evaluates_exactly_the_counts_below_it(monkeypatch) -> None:
+    counts, best = _recorded_counts(monkeypatch, cap=5)
+    assert best == 5
+    # The loop reads 1..5; the post-hoc check re-reads 5 and skips 6.
+    assert counts == [1, 2, 3, 4, 5, 5]
+
+
 def test_surrogate_modes_solve_and_land_near_exact() -> None:
     exact = capacity_under_pd_bisect(_query(surrogate_mode="exact")).max_uavs
     expanded = capacity_under_pd_bisect(_query(surrogate_mode="expanded")).max_uavs

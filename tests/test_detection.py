@@ -15,6 +15,7 @@ from uavcap.detection import (
     SurrogateDomainError,
     joint_pd,
     log_joint_pd_surrogate,
+    log_pd_single,
     lrt_threshold,
     pd_single,
     q,
@@ -116,6 +117,35 @@ def test_pd_single_reference_points() -> None:
 def test_pd_single_monotone_in_snr() -> None:
     values = [pd_single(s, 0.05) for s in np.linspace(0.0, 40.0, 400)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def _log_pd_through_q(snr: float, xi: float) -> float:
+    # log_pd_single's definition, written through q.
+    margin = math.sqrt(2.0 * snr) - xi
+    if margin >= 0.0:
+        return math.log1p(-q(margin))
+    pd = q(-margin)
+    return math.log(pd) if pd > 0.0 else -math.inf
+
+
+def test_log_pd_single_is_bit_identical_to_its_q_definition() -> None:
+    # log_pd_single inlines Q; this pins it to q bit for bit. Margins below
+    # -xi need xi past any pfa's Q^-1 (xi = 40 reaches Q's underflow).
+    cases = []
+    for xi in [q_inv(0.01), q_inv(0.05), q_inv(0.2), 40.0]:
+        cases.append((xi * xi / 2.0, xi))
+        for margin in np.linspace(-40.0, 40.0, 8001):
+            root = margin + xi
+            if root >= 0.0:
+                cases.append((root * root / 2.0, xi))
+    margins = [math.sqrt(2.0 * snr) - xi for snr, xi in cases]
+    assert 0.0 in margins
+    assert min(margins) == -40.0
+    assert max(margins) > 39.99
+    values = [log_pd_single(snr, xi) for snr, xi in cases]
+    expected = [_log_pd_through_q(snr, xi) for snr, xi in cases]
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
+    assert -math.inf in values
 
 
 def test_joint_pd_reference_and_edges() -> None:

@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from uavcap.validation import (
     _density_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
+    _snr_capacity_frames_proportional,
     _snr_checks,
     _surrogate_capacity_check,
     failed_checks,
@@ -222,6 +224,47 @@ def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
     assert f"up to the crossing at {crossing};" in row.detail
     assert row.measured < 0.0
     assert calls <= 60
+
+
+@pytest.mark.parametrize(
+    "overrides, deviation",
+    [
+        ({"radius_km": "1e-4"}, 256.0),
+        ({"tx_power_dbm": "200"}, 2.0),
+        ({"radius_km": "1e-5"}, 2097152.0),
+    ],
+)
+def test_snr_proportionality_allows_for_float_spacing_past_2_53_uavs(
+    overrides: dict[str, str], deviation: float
+) -> None:
+    # Past 2**53 UAVs adjacent floats are more than one apart, so the
+    # absolute 1-UAV bound once failed these rows on sound capacities.
+    [row] = _snr_capacity_frames_proportional(parse_config("", overrides))
+    assert row.measured == deviation
+    assert row.status == "pass"
+    # Each deviation is at least half a float spacing of the largest capacity.
+    assert row.tolerance <= 1.0 + 4.0 * deviation
+
+
+def test_snr_proportionality_still_fails_a_two_uav_shift(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    config = parse_config("")
+    [row] = _snr_capacity_frames_proportional(config)
+    assert (row.status, row.measured, f"{row.tolerance:.10g}") == ("pass", 0.0, "1")
+    real = uavcap.validation.capacity_under_snr
+    shifted_symbols = 5 * config.symbols_per_frame
+
+    def shifted(query):
+        result = real(query)
+        if query.total_symbols == shifted_symbols:
+            return replace(result, max_uavs=result.max_uavs + 2)
+        return result
+
+    monkeypatch.setattr(uavcap.validation, "capacity_under_snr", shifted)
+    [row] = _snr_capacity_frames_proportional(config)
+    assert row.status == "fail"
+    assert row.measured > 1.8
 
 
 def _slope_row(config) -> CheckResult:
