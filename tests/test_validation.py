@@ -3,18 +3,24 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import uavcap.link
 import uavcap.validation
 from uavcap.cli import main
 from uavcap.config import parse_config
+from uavcap.geometry import Position, position_pdf, sample_positions
+from uavcap.montecarlo import TAG_POSITIONS, substream
 from uavcap.validation import (
+    _KS_CRITICAL,
     STATUSES,
     CheckResult,
     _density_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
+    _sampler_checks,
     _snr_capacity_frames_proportional,
     _snr_checks,
     _surrogate_capacity_check,
@@ -149,6 +155,56 @@ def test_quartic_moment_quadrature_holds_across_geometries(
     moment = rows["inverse_quartic_range_moment"]
     assert moment.status == "pass"
     assert abs(moment.measured - moment.expected) <= 1e-12 * moment.expected
+
+
+# Reference values from scipy, the independent route the checks once took:
+# dblquad for the masses, quad for the moment, kstest and kstwobign for KS.
+@pytest.mark.parametrize("radius_km", ["1e-3", "1", "1e3"])
+@pytest.mark.parametrize("max_elevation_rad", ["1e-9", "0.3", repr(math.pi / 2.0)])
+@pytest.mark.parametrize("radius_ratio", [repr(1.0 + 1e-7), "1.5", "10", "1e6", "1e50"])
+def test_density_quadrature_matches_scipy(
+    radius_km: str, max_elevation_rad: str, radius_ratio: str
+) -> None:
+    config = parse_config("", {
+        "radius_km": radius_km, "max_elevation_rad": max_elevation_rad,
+        "radius_ratio": radius_ratio,
+    })
+    region = config.region()
+    rows = {row.name: row for row in _density_checks(config)}
+    for mode in ("normalized", "unnormalized"):
+        mass, _ = integrate.dblquad(
+            lambda el, r: math.pi * position_pdf(region, Position(r, el, math.pi / 2.0), mode),
+            region.inner_range, region.max_range, 0.0, region.max_elevation,
+        )
+        assert rows[f"density_mass_{mode}"].measured == pytest.approx(mass, rel=1e-13)
+    e3 = region.radius_ratio**3
+    moment, _ = integrate.quad(
+        lambda u: 3.0 * e3 * math.exp(-u) / (region.max_range**3 * (e3 - 1.0)),
+        math.log(region.inner_range), math.log(region.max_range),
+        epsabs=0.0, epsrel=1e-12,
+    )
+    assert rows["inverse_quartic_range_moment"].expected == pytest.approx(moment, rel=1e-13)
+
+
+@pytest.mark.parametrize("trials", [3, 1000, 100_000])
+def test_ks_statistic_matches_scipy_bit_for_bit(trials: int) -> None:
+    config = parse_config("", {"trials": str(trials)})
+    region = config.region()
+    rng = substream(config.seed, TAG_POSITIONS, 0, salt=101)
+    ranges, elevations, azimuths = sample_positions(region, rng, trials)
+    inner3, outer3 = region.inner_range**3, region.max_range**3
+    probes = (
+        (ranges**3 - inner3) / (outer3 - inner3),
+        np.sin(elevations) / math.sin(region.max_elevation),
+        azimuths / math.pi,
+    )
+    assert [row.measured for row in _sampler_checks(config)] == [
+        float(stats.kstest(unit, "uniform").statistic) for unit in probes
+    ]
+
+
+def test_ks_critical_value_is_the_kolmogorov_quantile() -> None:
+    assert _KS_CRITICAL == float(stats.kstwobign.isf(0.01))
 
 
 TREND_CHECKS = (
