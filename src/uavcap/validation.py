@@ -156,9 +156,11 @@ def _quartic_moment_check(region: SensingRegion) -> CheckResult:
     )
 
 
-# The Kolmogorov distribution's upper 1 % point: the two-sided KS test at
-# that level rejects when sqrt(n) D exceeds it.
-_KS_CRITICAL = 1.6276236115189504
+# The Kolmogorov distribution's upper (1 %/3) point: the two-sided KS test
+# at that level rejects when sqrt(n) D exceeds it. Each of the three
+# sampler rows tests at 1 %/3, so a sound sampler fails one of them at
+# most 1 % of the time.
+_KS_CRITICAL = 1.788425236148623
 
 
 def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
@@ -186,7 +188,7 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     if vacuous:
         detail = f"inconclusive: KS critical value {critical:.3g} >= 1 at n = {n}"
     else:
-        detail = f"KS vs uniform after the probability transform, n = {n}"
+        detail = f"KS vs uniform after the probability transform at 1 %/3, n = {n}"
 
     probes = (
         (ranges**3 - inner3) / (outer3 - inner3),
