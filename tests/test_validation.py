@@ -157,8 +157,8 @@ def test_quartic_moment_quadrature_holds_across_geometries(
     assert abs(moment.measured - moment.expected) <= 1e-12 * moment.expected
 
 
-# Reference values from scipy, the independent route the checks once took:
-# dblquad for the masses, quad for the moment, kstest and kstwobign for KS.
+# Reference values from scipy: dblquad for the masses, quad for the moment,
+# kstest and kstwobign for the KS rows.
 @pytest.mark.parametrize("radius_km", ["1e-3", "1", "1e3"])
 @pytest.mark.parametrize("max_elevation_rad", ["1e-9", "0.3", repr(math.pi / 2.0)])
 @pytest.mark.parametrize("radius_ratio", [repr(1.0 + 1e-7), "1.5", "10", "1e6", "1e50"])
