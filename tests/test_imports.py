@@ -54,12 +54,22 @@ def _run_cli(
     return proc, int(code), set(loaded)
 
 
-def test_import_leaves_numpy_out() -> None:
-    proc = _python(
-        "-c", "import sys, uavcap; print('numpy' in sys.modules, 'scipy' in sys.modules)"
-    )
+def test_import_leaves_scipy_out() -> None:
+    proc = _python("-c", "import sys, uavcap; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"]
+
+
+def test_import_leaves_numpy_out() -> None:
+    proc = _python("-c", "import sys, uavcap; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_sweep_command_leaves_scipy_out() -> None:
+    proc, code, loaded = _run_cli("capacity-vs-radius")
+    assert code == 0 and "scipy" not in loaded, proc.stderr
+    assert "radius_km,snr_capacity" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=" ".join)
