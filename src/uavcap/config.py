@@ -9,10 +9,9 @@ Each key is defined once, as a ScenarioConfig field: its type is the
 annotation, its default the field default, and its range or choices the
 field metadata. The parse table is derived from those fields.
 
-Noise can be given either directly (``noise_power_dbm``) or as a pair
-(``noise_density_dbm_hz``, ``bandwidth_mhz``), not both; the resolved
-config always stores the total noise power, and document_items() emits
-that canonical form, so a dumped config re-parses to an equal one.
+Every rule reads one key; a rule over two keys (a sweep's stop below its
+start) belongs to the code that reads them. document_items() emits every
+key whose value is not None, so a dumped config re-parses to an equal one.
 render_csv() echoes those items as the ``#`` header of every command's CSV.
 """
 
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .capacity import CapacityQuery
 from .detection import DetectionSpec, SURROGATE_MODES
 from .geometry import DENSITY_MODES, SensingRegion
-from .link import RadarLinkParams, noise_power_dbm_from_density
+from .link import RadarLinkParams
 from .montecarlo import TrialPlan
 
 DEFAULT_SEED = 20260816
@@ -52,13 +51,6 @@ def _key(
     )
 
 
-# Accepted keys that are not fields: they resolve into noise_power_dbm.
-_NOISE_KEYS = {
-    "noise_density_dbm_hz": _key(-174.0),
-    "bandwidth_mhz": _key(100.0, low=0.0, low_open=True),
-}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario; field defaults are the reference operating point.
@@ -69,12 +61,7 @@ class ScenarioConfig:
 
     tx_power_dbm: float = _key(58.0)
     combined_gain_db: float = _key(22.5)
-    noise_power_dbm: float = _key(
-        noise_power_dbm_from_density(
-            _NOISE_KEYS["noise_density_dbm_hz"].default,
-            _NOISE_KEYS["bandwidth_mhz"].default,
-        )
-    )
+    noise_power_dbm: float = _key(-94.0)  # -174 dBm/Hz over 100 MHz
     carrier_freq_mhz: float = _key(4900.0, low=0.0, low_open=True)
     rcs_m2: float = _key(0.01, low=0.0, low_open=True)
     uavs_per_symbol: int = _key(1, low=1)
@@ -155,7 +142,6 @@ _KEYS: dict[str, tuple[str, Mapping[str, object]]] = {
     f.name: (f.type.partition(" ")[0], f.metadata)
     for f in fields(ScenarioConfig)
 }
-_KEYS.update((name, ("float", f.metadata)) for name, f in _NOISE_KEYS.items())
 
 
 def _parse_value(key: str, raw: str) -> int | float | str:
@@ -220,33 +206,7 @@ def parse_config(
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-
-    direct_noise = "noise_power_dbm" in values
-    if direct_noise and any(key in values for key in _NOISE_KEYS):
-        raise ConfigError(
-            "give either noise_power_dbm or noise_density_dbm_hz/bandwidth_mhz, not both"
-        )
-    if not direct_noise:
-        density, bandwidth = (
-            float(values.pop(key, _NOISE_KEYS[key].default)) for key in _NOISE_KEYS
-        )
-        values["noise_power_dbm"] = noise_power_dbm_from_density(density, bandwidth)
-        # A finite bandwidth near the float limit overflows the log term.
-        if not math.isfinite(values["noise_power_dbm"]):
-            raise ConfigError(
-                f"bandwidth_mhz: must give a finite noise power, got {bandwidth:g}"
-            )
-
-    config = ScenarioConfig(**values)  # type: ignore[arg-type]
-
-    # Cross-field checks that single-key ranges cannot express.
-    if config.sweep_start is not None and config.sweep_stop is not None:
-        if config.sweep_stop < config.sweep_start:
-            raise ConfigError(
-                f"sweep_stop: must be >= sweep_start, got {config.sweep_stop:g} < "
-                f"{config.sweep_start:g}"
-            )
-    return config
+    return ScenarioConfig(**values)  # type: ignore[arg-type]
 
 
 # Kept only because perfbench/workloads.py calls it.

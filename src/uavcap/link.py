@@ -31,13 +31,6 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def noise_power_dbm_from_density(density_dbm_hz: float, bandwidth_mhz: float) -> float:
-    """Total noise power over the band: density + 10 log10(bandwidth in Hz)."""
-    if not bandwidth_mhz > 0.0:
-        raise ValueError(f"bandwidth_mhz must be > 0, got {bandwidth_mhz}")
-    return density_dbm_hz + 10.0 * math.log10(bandwidth_mhz * 1e6)
-
-
 @dataclass(frozen=True, slots=True)
 class RadarLinkParams:
     """Scenario-level link parameters.

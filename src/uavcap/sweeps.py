@@ -80,7 +80,6 @@ def sweep_values(kind: str, config: ScenarioConfig) -> list[float]:
     if config.sweep_step is not None:
         step = config.sweep_step
     if stop < start:
-        # parse_config rejects both keys set this way, so one is a default.
         key = "sweep_start" if config.sweep_stop is None else "sweep_stop"
         raise ConfigError(f"{key}: {kind} sweep stop {stop:g} is below start {start:g}")
     span = (stop - start) / step + 1e-9

@@ -77,14 +77,15 @@ def test_bad_usage_exits_2(tmp_path: Path, capsys) -> None:
     assert "uavcap:" in capsys.readouterr().err
 
 
-def test_the_removed_workers_key_is_an_unknown_key(tmp_path: Path, capsys) -> None:
-    assert main(["snr-vs-uavs", "--set", "workers=2"]) == 2
+@pytest.mark.parametrize("key", ["workers", "noise_density_dbm_hz", "bandwidth_mhz"])
+def test_a_removed_key_is_an_unknown_key(key: str, tmp_path: Path, capsys) -> None:
+    assert main(["snr-vs-uavs", "--set", f"{key}=2"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "uavcap: unknown key 'workers'\n")
+    assert (captured.out, captured.err) == ("", f"uavcap: unknown key '{key}'\n")
     scenario = tmp_path / "scenario.cfg"
-    scenario.write_text("workers = 2\n", encoding="utf-8")
+    scenario.write_text(f"{key} = 2\n", encoding="utf-8")
     assert main(["validate", "--config", str(scenario)]) == 2
-    assert capsys.readouterr().err == "uavcap: line 1: unknown key 'workers'\n"
+    assert capsys.readouterr().err == f"uavcap: line 1: unknown key '{key}'\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys) -> None:

@@ -111,21 +111,6 @@ def test_mode_choices_validated() -> None:
         parse_config("surrogate_mode = taylor\n")
 
 
-def test_noise_forms_mutually_exclusive() -> None:
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config("noise_power_dbm = -90\nnoise_density_dbm_hz = -170\n")
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config("noise_power_dbm = -90\nbandwidth_mhz = 50\n")
-
-
-def test_noise_density_resolves_to_total_power() -> None:
-    config = parse_config("noise_density_dbm_hz = -174\nbandwidth_mhz = 100\n")
-    assert config.noise_power_dbm == pytest.approx(-94.0)
-    # 10 MHz: 10*log10(1e7) = 70 dB over the density
-    narrow = parse_config("noise_density_dbm_hz = -174\nbandwidth_mhz = 10\n")
-    assert narrow.noise_power_dbm == pytest.approx(-104.0)
-
-
 def test_explicit_frames_collapses_curves() -> None:
     config = parse_config("frames = 5\n")
     assert config.frames == 5
@@ -138,7 +123,6 @@ def test_default_frames_not_serialized() -> None:
     keys = [key for key, _ in parse_config("").document_items()]
     assert "frames" not in keys
     assert "noise_power_dbm" in keys
-    assert "noise_density_dbm_hz" not in keys
 
 
 def test_overrides_replace_document_values() -> None:
@@ -157,8 +141,9 @@ def test_override_validation() -> None:
 
 
 def test_sweep_bounds_ordering() -> None:
-    with pytest.raises(ConfigError, match="sweep_stop: must be >= sweep_start"):
-        parse_config("sweep_start = 5\nsweep_stop = 2\n")
+    # Each key is parsed on its own; the sweeps refuse a stop below the start.
+    config = parse_config("sweep_start = 5\nsweep_stop = 2\n")
+    assert (config.sweep_start, config.sweep_stop) == (5.0, 2.0)
     config = parse_config("sweep_start = 2\nsweep_stop = 2\n")
     assert config.sweep_start == config.sweep_stop == 2.0
 
@@ -193,8 +178,9 @@ def test_sweep_header_is_pinned_at_the_reference_point() -> None:
 
 
 def test_header_is_pinned_with_frames_noise_pair_and_sweep_keys() -> None:
+    # The noise power that -170 dBm/Hz over 20 MHz gives, set directly.
     config = parse_config(
-        "frames = 4\nnoise_density_dbm_hz = -170\nbandwidth_mhz = 20\n"
+        "frames = 4\nnoise_power_dbm = -96.98970004336019\n"
         "sweep_start = 2\nsweep_stop = 6\nsweep_step = 2\n"
     )
     echo = REFERENCE_ECHO.replace(
@@ -240,18 +226,7 @@ def _accepted_values(kind: str, accepted) -> st.SearchStrategy:
     )
 )
 def test_every_accepted_config_round_trips(values: dict) -> None:
-    if "noise_power_dbm" in values:  # the two noise forms are exclusive
-        values.pop("noise_density_dbm_hz", None)
-        values.pop("bandwidth_mhz", None)
-    if "sweep_start" in values and "sweep_stop" in values:
-        low, high = sorted((values["sweep_start"], values["sweep_stop"]))
-        values.update(sweep_start=low, sweep_stop=high)
-    try:
-        config = parse_config("", {key: str(value) for key, value in values.items()})
-    except ConfigError as exc:
-        # The one in-range value refused: a band so wide its noise overflows.
-        assert str(exc).startswith("bandwidth_mhz: must give a finite noise power")
-        return
+    config = parse_config("", {key: str(value) for key, value in values.items()})
     assert (config.frame_curves == (1, 3, 5)) == ("frames" not in values)
     dumped = "\n".join(f"{key} = {value}" for key, value in config.document_items())
     assert parse_config(dumped) == config
@@ -259,23 +234,17 @@ def test_every_accepted_config_round_trips(values: dict) -> None:
     assert parse_config("\n".join(line[2:] for line in header[:-1])) == config
 
 
-def test_band_too_wide_for_a_finite_noise_power_is_rejected() -> None:
-    with pytest.raises(ConfigError, match="bandwidth_mhz: must give a finite noise"):
-        parse_config("bandwidth_mhz = 1e303\n")
-
-
 def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     section = README.read_text(encoding="utf-8").split("## Configuration")[1]
     table = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| `")]
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
-    assert len(documented) == len(set(documented)) == 25
+    assert len(documented) == len(set(documented)) == 23
 
 
 def test_every_field_is_a_config_key() -> None:
     names = [f.name for f in fields(ScenarioConfig)]
-    noise_form = {"noise_density_dbm_hz", "bandwidth_mhz"}
-    assert names == [key for key in _KEYS if key not in noise_form]
+    assert names == list(_KEYS)
     assert len(names) == 23
 
 

@@ -13,7 +13,6 @@ from uavcap.link import (
     linear_to_db,
     mean_multi_uav_snr,
     mean_single_uav_snr,
-    noise_power_dbm_from_density,
     path_gain_squared,
     path_loss_db,
     pathloss_constant,
@@ -37,13 +36,6 @@ def test_db_helpers_round_trip() -> None:
     assert db_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
     with pytest.raises(ValueError):
         linear_to_db(0.0)
-
-
-def test_noise_power_from_density() -> None:
-    # -174 dBm/Hz over 100 MHz: -174 + 80 = -94 dBm.
-    assert noise_power_dbm_from_density(-174.0, 100.0) == pytest.approx(-94.0)
-    with pytest.raises(ValueError, match="bandwidth"):
-        noise_power_dbm_from_density(-174.0, 0.0)
 
 
 def test_path_loss_reference_value() -> None:

@@ -58,6 +58,21 @@ def test_a_grid_past_the_point_limit_is_a_config_error(document: str, key: str) 
         sweep_values("capacity-vs-radius", parse_config(document))
 
 
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ("sweep_start = 5\nsweep_stop = 2\n", "sweep_stop"),
+        ("sweep_start = 60\n", "sweep_start"),
+        ("sweep_stop = 0\n", "sweep_stop"),
+    ],
+    ids=["both-set", "start-set", "stop-set"],
+)
+def test_a_stop_below_the_start_names_a_key_that_was_set(document: str, key: str) -> None:
+    for kind in SWEEP_KINDS:
+        with pytest.raises(ConfigError, match=f"^{key}: {kind} sweep stop .* is below start"):
+            sweep_values(kind, parse_config(document))
+
+
 def test_a_grid_at_the_point_limit_is_counted_not_refused() -> None:
     values = sweep_values("capacity-vs-radius", parse_config(
         f"sweep_start = 1\nsweep_stop = {MAX_SWEEP_POINTS}\n"
