@@ -144,9 +144,18 @@ def _noise_sums(
 
 
 def _reduce_mean(
-    parts: Sequence[tuple[float, ...]], plan: TrialPlan, scale: float = 1.0
+    parts: Sequence[tuple[float, ...]],
+    plan: TrialPlan,
+    scale: float = 1.0,
+    shift: float = 0.0,
 ) -> EmpiricalEstimate:
-    """Combine per-chunk (sum, sum of squares) into scale * (mean +- z s / sqrt(n))."""
+    """Combine per-chunk (sum, sum of squares) of values less `shift` into
+    scale * (shift + mean +- z s / sqrt(n)).
+
+    The variance is formed in one pass, as sum of squares less n mean^2,
+    which cancels when values sit far from zero against their spread; a
+    kernel keeps it by summing its values less a shift near their mean.
+    """
     n = plan.trials
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
@@ -157,7 +166,7 @@ def _reduce_mean(
     else:
         # One trial gives no spread estimate, so the interval is unbounded.
         half = math.inf
-    return EmpiricalEstimate(mean=scale * mean, half_width=half, trials=n)
+    return EmpiricalEstimate(mean=scale * (shift + mean), half_width=half, trials=n)
 
 
 def _rate_estimate(successes: int, plan: TrialPlan) -> EmpiricalEstimate:
@@ -281,7 +290,9 @@ def mc_integration_energy(
     Per trial: y_n = kappa * sqrt(P_T / K) * path_amplitude + noise with
     per-symbol noise variance sigma^2; the statistic is |sum_n y_n|^2.
     Expected value: N^2 * A^2 + N * sigma^2, i.e. signal energy grows as
-    N^2 while noise only as N.
+    N^2 while noise only as N. The kernel sums each trial's energy less
+    the echo's (N A)^2, so the spread is not lost to cancellation when the
+    echo swamps the noise.
     """
     import numpy as np
 
@@ -294,18 +305,18 @@ def mc_integration_energy(
         * path_amplitude
     )
     scale = math.sqrt(params.noise_power_mw / 2.0)
+    echo = n_sym * amp
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
         # Sum the real and imaginary noise blocks apart and form
-        # |N A + real + j imag|^2 in place on the real per-trial sums: no
-        # complex temporary is built.
+        # |N A + real + j imag|^2 - (N A)^2 = real (real + 2 N A) + imag^2
+        # on the per-trial sums: no complex temporary is built.
         real = _noise_sums(rng, count, n_sym, scale)
         imag = _noise_sums(rng, count, n_sym, scale)
-        real += n_sym * amp
-        np.square(real, out=real)
+        real *= real + 2.0 * echo
         np.square(imag, out=imag)
         real += imag
         return float(np.sum(real)), float(np.dot(real, real))
 
     parts = _run_chunks(plan, TAG_ENERGY, kernel, salt)
-    return _reduce_mean(parts, plan)
+    return _reduce_mean(parts, plan, shift=echo * echo)

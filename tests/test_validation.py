@@ -357,6 +357,25 @@ def test_an_incoherent_energy_kernel_still_fails_the_slope(
     assert abs(slope.measured) < 0.05
 
 
+@pytest.mark.parametrize("radius_km", ["1e-5", "1e-20", "1e-50"])
+def test_energy_rows_keep_their_spread_when_the_echo_swamps_the_noise(
+    radius_km: str,
+) -> None:
+    # At 1e-5 km the echo outweighs the noise by about 1e19. Taken about
+    # zero, the one-pass variance cancelled there to a tolerance of 0 (a
+    # fail), and at 1e-50 km its squares overflowed to a nan tolerance.
+    config = parse_config("", {"radius_km": radius_km, "trials": "20000"})
+    rows = {r.name: r for r in _integration_checks(config)}
+    for n in (1, 3, 8):
+        row = rows[f"integration_energy_n{n}"]
+        noise = n * config.link().noise_power_mw
+        echo = row.expected - noise
+        # Var |N A + x|^2 = 2 (N A)^2 N sigma^2 + (N sigma^2)^2.
+        se = math.sqrt((2.0 * echo * noise + noise * noise) / config.trials)
+        assert row.status == "pass"
+        assert row.tolerance == pytest.approx(3.0 * se, rel=0.05)
+
+
 def test_every_sampled_check_without_trials_is_inconclusive() -> None:
     # With no trials there is nothing to test. The sampler once ran its KS
     # tests on one sample, whose statistic never reaches the critical value,
