@@ -33,6 +33,21 @@ CLOSED_FORM_COMMANDS = [
     ("capacity-vs-frames",),
     ("capacity-vs-power",),
     ("snr-vs-uavs", "--trials", "0"),
+    # 7e7 frames: 776,189,494 UAVs, solved with no cap.
+    ("capacity-vs-frames", "--set", "sweep_start=70000000", "--set", "sweep_stop=70000000"),
+]
+
+# validate at the reference and at past repros that each once exited 1.
+VALIDATE_RUNS = [
+    (),
+    # One trial gives no spread estimate: inconclusive, not a fail.
+    ("--trials", "1"),
+    # A PD crossing past 60 UAVs: the joint-PD shape is read up to it.
+    ("--set", "frames=4", "--set", "surrogate_mode=fixed", "--set", "pfa=0.01"),
+    # A wide, large region: the mean-SNR oracle samples a log-uniform range.
+    ("--set", "radius_km=1000", "--set", "radius_ratio=1000"),
+    # A PD floor below 1/e: the joint-PD shape is read as convexity of -ln PD.
+    ("--trials", "0", "--set", "pd_threshold=0.3"),
 ]
 
 
@@ -78,6 +93,7 @@ def test_closed_form_command_leaves_numpy_out(argv: tuple[str, ...]) -> None:
     proc, code, loaded = _run_cli(*argv)
     assert (code, loaded) == (0, set()), proc.stderr
     assert proc.stdout.startswith("# uavcap sweep\n")
+    assert proc.stdout.endswith(",ok\n")
 
 
 def test_sampled_sweep_loads_numpy_and_passes() -> None:
@@ -88,8 +104,9 @@ def test_sampled_sweep_loads_numpy_and_passes() -> None:
     assert "mc_snr_db" in proc.stdout
 
 
-def test_validate_loads_numpy_alone_and_passes() -> None:
-    proc, code, loaded = _run_cli("validate")
+@pytest.mark.parametrize("argv", VALIDATE_RUNS, ids=lambda argv: " ".join(argv) or "reference")
+def test_validate_loads_numpy_alone_and_passes(argv: tuple[str, ...]) -> None:
+    proc, code, loaded = _run_cli("validate", *argv)
     assert (code, loaded) == (0, {"numpy"}), proc.stderr
 
 
