@@ -11,7 +11,10 @@ The Gaussian tail Q is computed via erfc. An exponential surrogate
 Q(x) ~ exp(-a x^2 - b x - c) on [0, 4] (a=0.3842, b=0.7640, c=0.6964)
 feeds the closed-form capacity solver; its expanded form and a fixed
 historical coefficient variant are both exposed (they differ, see
-log_joint_pd_surrogate).
+log_joint_pd_surrogate). The coefficients are those of M. Lopez-Benitez
+and F. Casadevall, "Versatile, accurate, and analytically tractable
+approximation for the Gaussian Q-function", IEEE Trans. Commun. 59(4),
+2011.
 """
 
 from __future__ import annotations
