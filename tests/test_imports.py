@@ -1,7 +1,7 @@
 """scipy is never loaded, and numpy only by the commands that build arrays
 (`validate` and `snr-vs-uavs` with trials): importing the package and
 running a closed-form command must not pay for numpy. Checked in fresh
-interpreters."""
+interpreters, which also run the past repros that each once failed."""
 
 import os
 import subprocess
