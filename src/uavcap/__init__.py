@@ -6,7 +6,6 @@ aerial targets, plus deterministic Monte Carlo machinery that validates
 every closed form against an independent stochastic oracle.
 """
 
-from .arrays import UpaGeometry, effective_channel_gain, mrc_pair, steering_vector
 from .capacity import (
     CapacityQuery,
     CapacityResult,
@@ -68,11 +67,9 @@ __all__ = [
     "SensingRegion",
     "SurrogateDomainError",
     "TrialPlan",
-    "UpaGeometry",
     "capacity_under_pd_bisect",
     "capacity_under_pd_scan",
     "capacity_under_snr",
-    "effective_channel_gain",
     "expected_inverse_quartic_range",
     "joint_pd",
     "log_joint_pd_surrogate",
@@ -83,7 +80,6 @@ __all__ = [
     "mc_mean_snr",
     "mean_multi_uav_snr",
     "mean_single_uav_snr",
-    "mrc_pair",
     "parse_config",
     "path_loss_db",
     "pathloss_constant",
@@ -98,6 +94,5 @@ __all__ = [
     "run_sweep",
     "run_validation",
     "sample_positions",
-    "steering_vector",
     "__version__",
 ]

@@ -65,7 +65,7 @@ class CapacityQuery:
 class CapacityResult:
     """Solver outcome.
 
-    max_uavs is the largest count satisfying the binding constraint (0 when
+    max_uavs is the largest count satisfying the solver's constraint (0 when
     even one target fails it; achieved_* then report the L = 1 values as
     diagnostics). achieved_snr is the linear mean per-target SNR and
     achieved_joint_pd the exact joint detection probability at
@@ -76,7 +76,6 @@ class CapacityResult:
     """
 
     max_uavs: int
-    binding_constraint: str
     achieved_snr: float
     achieved_joint_pd: float
     cap_reached: bool = False
@@ -90,18 +89,21 @@ def mean_snr_at(query: CapacityQuery, num_uavs: int) -> float:
     )
 
 
+def one_uav_link(query: CapacityQuery) -> RadarLinkParams:
+    """The query's link with its whole budget on one target: N = total symbols, K = 1."""
+    return replace(query.link, cpi_symbols=query.total_symbols, uavs_per_symbol=1)
+
+
 def _make_result(
     query: CapacityQuery,
     mean_snr_one: float,
     max_uavs: int,
-    binding: str,
     satisfied: Callable[[int], bool],
     cap_reached: bool = False,
 ) -> CapacityResult:
     at = max(max_uavs, 1)
     result = CapacityResult(
         max_uavs=max_uavs,
-        binding_constraint=binding,
         achieved_snr=mean_snr_one / at,
         achieved_joint_pd=joint_pd(mean_snr_one / at, at, query.spec.pfa),
         cap_reached=cap_reached,
@@ -134,7 +136,7 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
     # The float floor of the bound is off by at most one below 2**53 UAVs
     # and by up to half a float spacing above.
     max_uavs = _largest(satisfied, math.floor(mean_one / floor))
-    return _make_result(query, mean_one, max_uavs, "snr", satisfied)
+    return _make_result(query, mean_one, max_uavs, satisfied)
 
 
 def _largest(holds: Callable[[int], bool], guess: int) -> int:
@@ -222,7 +224,7 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
         guess = _pd_guess(mean_one, xi, floor, surrogate_miss_inv(xi, mode))
         try:
             best = _largest(surrogate_holds, guess)
-            return _make_result(query, mean_one, best, "pd", surrogate_holds)
+            return _make_result(query, mean_one, best, surrogate_holds)
         except SurrogateDomainError:
             pass
 
@@ -230,7 +232,7 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
         return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
     best = _largest(holds, _pd_guess(mean_one, xi, floor))
-    result = _make_result(query, mean_one, best, "pd", holds)
+    result = _make_result(query, mean_one, best, holds)
     return result if mode == "exact" else replace(result, surrogate_out_of_window=True)
 
 
@@ -256,5 +258,5 @@ def capacity_under_pd_scan(
     # to save a Python frame per count; holds serves the post-hoc check.
     for num in range(1, cap + 1):
         if not num * log_pd_single(mean_one / num, xi) >= ln_floor:
-            return _make_result(query, mean_one, num - 1, "pd", holds)
-    return _make_result(query, mean_one, cap, "pd", holds, cap_reached=True)
+            return _make_result(query, mean_one, num - 1, holds)
+    return _make_result(query, mean_one, cap, holds, cap_reached=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 from typing import NamedTuple
 
-from .capacity import capacity_under_pd_bisect, capacity_under_snr, mean_snr_at
+from .capacity import capacity_under_pd_bisect, capacity_under_snr, mean_snr_at, one_uav_link
 from .config import ConfigError, ScenarioConfig, render_csv
 from .detection import SurrogateDomainError, joint_pd, log_joint_pd_surrogate, q_inv
 from .geometry import density_mass
@@ -127,17 +127,13 @@ def _uav_count_rows(
             rho = 2.0 * mean_one
             mc_base = None
             if with_mc:
-                # One independent substream per curve; the closed-form 1/L
-                # split then scales the estimate row by row.
+                # The curve's own one-UAV mean SNR, on one independent
+                # substream per curve; the closed-form 1/L split then scales
+                # the estimate row by row.
                 estimate = mc_mean_snr(
-                    config.link(), config.region(), config.plan(), salt=ordinal
+                    one_uav_link(query), query.region, config.plan(), salt=ordinal
                 )
-                ratio = (
-                    (query.total_symbols * config.uavs_per_symbol)
-                    / (config.cpi_symbols * 1.0)
-                )
-                mc_base = (estimate.mean * ratio * mode_factor,
-                           estimate.half_width * ratio * mode_factor)
+                mc_base = (estimate.mean * mode_factor, estimate.half_width * mode_factor)
         except _ROW_ERRORS as exc:
             # A curve whose mean SNR cannot be computed fails every row.
             rows.extend(

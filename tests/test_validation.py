@@ -259,6 +259,10 @@ def test_a_raising_trend_check_costs_only_its_own_row(
         # Below PD = 1/e the curve bends back, so PD's own second
         # differences turn positive; -ln PD stays convex.
         ({"pd_threshold": "0.3"}, 54),
+        # At low floors PD at half the crossing sits below 0.99 on a sound
+        # curve; the half-count bound scales with -ln of the floor.
+        ({"pd_threshold": "0.2"}, 58),
+        ({"pd_threshold": "0.1"}, 62),
     ],
 )
 def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
