@@ -15,12 +15,13 @@ positionally, and goes once the benchmark stops passing it.
 
 Each kernel draws only the samples its statistic reads: mean SNR one
 uniform per trial (a log-uniform range, importance-weighted), detection one
-real normal block that both hypotheses share (the LLR reads only the real
-part of the noise sum; H0 and H1 compare the block's raw sums against two
-thresholds, as common random numbers), and the integration energy both the
-real and the imaginary noise blocks. The cpi_symbols noise symbols of a
-trial are summed left to right, one column at a time (_row_sums), so the
-summation order is fixed here rather than by numpy's reduction.
+normal per trial that both hypotheses share (the LLR is normal with the same
+law for any number of integrated symbols; H0 and H1 compare that one draw
+against two thresholds, as common random numbers), and the integration
+energy both the real and the imaginary noise blocks. The energy kernel sums
+a trial's cpi_symbols noise symbols left to right, one column at a time
+(_row_sums), so the summation order is fixed here rather than by numpy's
+reduction.
 
 Estimates carry two-sided confidence half-widths (normal approximation;
 binomial standard error for rates).
@@ -217,7 +218,7 @@ def mc_mean_snr(
         values = rng.random(count)
         values *= -log_ratio
         np.exp(values, out=values)
-        return float(np.sum(values)), float(np.dot(values, values))
+        return float(values.sum()), float(np.dot(values, values))
 
     parts = _run_chunks(plan, TAG_POSITIONS, kernel, salt)
     return _reduce_mean(parts, plan, weight)
@@ -233,15 +234,20 @@ def mc_detection_rates(
 ) -> tuple[EmpiricalEstimate, EmpiricalEstimate]:
     """Empirical (PD, PFA) of the LLR test at post-integration SNR `snr`.
 
-    Per trial, cpi_symbols unit-variance complex noise symbols are
-    coherently summed under each hypothesis with the known per-symbol
-    amplitude sqrt(snr / cpi_symbols), and the LLR is compared against
-    lrt_threshold(snr, pfa). The LLR reads only the real part of the sum,
-    so only the real noise parts (variance 1/2 each) are drawn: one block
-    per chunk, shared by both hypotheses, whose raw per-trial sums are
-    compared against one folded LLR threshold per hypothesis. Each rate is
-    still an unbiased binomial estimate, and since the LLR is monotone in
-    the noise sum, every false alarm is also a detection.
+    Coherently summing N unit-variance complex noise symbols with the known
+    per-symbol amplitude sqrt(snr / N) gives an LLR that is normal with
+    mean -snr under H0, +snr under H1 and variance 2 snr, for any N (Kay,
+    Fundamentals of Statistical Signal Processing, Vol. II, 1998, ch. 4).
+    So each trial draws one standard normal Z, shared by both hypotheses,
+    and compares it against lrt_threshold(snr, pfa) folded onto Z: a false
+    alarm is Z > (gamma + snr) / sqrt(2 snr), a detection
+    Z > (gamma - snr) / sqrt(2 snr). Each rate is an unbiased binomial
+    estimate, and every false alarm is also a detection.
+
+    cpi_symbols is checked (>= 1) but not read: the estimate is the same for
+    every N. Like `workers`, it stays only because the benchmark
+    (perfbench/workloads.py and perfbench/layers.py) passes it positionally;
+    ROADMAP item 6 removes it together with the cpi_symbols key.
     """
     import numpy as np
 
@@ -252,29 +258,20 @@ def mc_detection_rates(
     if cpi_symbols < 1:
         raise ValueError(f"cpi_symbols must be >= 1, got {cpi_symbols}")
     gamma = lrt_threshold(snr, pfa)
-    n_sym = cpi_symbols
-    # After summing N symbols: signal amplitude N * sqrt(snr/N), noise
-    # variance N, so the LLR statistic 2 Re(conj(sum) A_eff)/sigma_eff^2
-    # - A_eff^2/sigma_eff^2 has mean +-snr and variance 2 snr. It exceeds
-    # gamma when Re(sum) > (gamma sigma_eff^2 + A_eff^2) / (2 A_eff), and
-    # Re(sum) is sqrt(1/2) S under H0 and sqrt(1/2) S + A_eff under H1, for
-    # S the raw sum of N standard normals: one threshold on S per hypothesis.
-    amp_eff = n_sym * math.sqrt(snr / n_sym)
-    var_eff = float(n_sym)
-    unit = 2.0 * amp_eff * math.sqrt(0.5)
-    false_alarm_at = (gamma * var_eff + amp_eff * amp_eff) / unit
-    detection_at = (gamma * var_eff - amp_eff * amp_eff) / unit
+    root = math.sqrt(2.0 * snr)
+    false_alarm_at = (gamma + snr) / root
+    detection_at = (gamma - snr) / root
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        # One noise block serves both hypotheses (common random numbers).
-        sums = _row_sums(rng.standard_normal((count, n_sym)))
-        detections = np.count_nonzero(sums > detection_at)
-        false_alarms = np.count_nonzero(sums > false_alarm_at)
-        return float(detections), float(false_alarms)
+        # One draw serves both hypotheses (common random numbers).
+        noise = rng.standard_normal(count)
+        detections = int(np.count_nonzero(noise > detection_at))
+        false_alarms = int(np.count_nonzero(noise > false_alarm_at))
+        return detections, false_alarms
 
     parts = _run_chunks(plan, TAG_DETECTION, kernel, salt)
-    detections = int(math.fsum(p[0] for p in parts))
-    false_alarms = int(math.fsum(p[1] for p in parts))
+    detections = sum(p[0] for p in parts)
+    false_alarms = sum(p[1] for p in parts)
     return _rate_estimate(detections, plan), _rate_estimate(false_alarms, plan)
 
 
@@ -316,7 +313,7 @@ def mc_integration_energy(
         real *= real + 2.0 * echo
         np.square(imag, out=imag)
         real += imag
-        return float(np.sum(real)), float(np.dot(real, real))
+        return float(real.sum()), float(np.dot(real, real))
 
     parts = _run_chunks(plan, TAG_ENERGY, kernel, salt)
     return _reduce_mean(parts, plan, shift=echo * echo)

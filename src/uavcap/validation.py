@@ -532,7 +532,9 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
     # in float64 the log's second differences are exact zeros, elsewhere at
     # most rounding below 0. The drop is sharp if PD bends harder than the
     # parabola from 1 at count 0 to the floor at the crossing, a bound free
-    # of the curve's scale.
+    # of the curve's scale. One second difference (crossing 3) is too few
+    # to tell a sharp drop: sound curves bend up there, so only convexity
+    # and the half-count bound are read.
     logs = [-math.log(p) for p in pds]
     convex = all(
         logs[i + 1] - 2.0 * logs[i] + logs[i - 1] >= -1e-15 for i in range(1, len(logs) - 1)
@@ -543,15 +545,18 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
     # PD >= 0.9898). Convexity alone guarantees only a half.
     half = pds[len(pds) // 2 - 1]
     slow = math.log(half) >= 0.2 * math.log(config.pd_threshold)
+    single = len(bend) == 1
+    sharp = single or min(bend) < parabola
     grid = f" every {step} counts" if step > 1 else ""
     shape = "second differences <= 0" if max(bend) <= 1e-15 else (
         "-ln(joint PD) second differences >= 0")
+    unbounded = "; one second difference, so no sharpness bound" if single else ""
     return [
         CheckResult(
-            name, _verdict(convex and min(bend) < parabola and slow),
+            name, _verdict(convex and sharp and slow),
             min(bend), None, None,
             f"{shape}{grid} up to the crossing at {crossing}; "
-            f"joint PD still {half:.4f} at half the crossing count",
+            f"joint PD still {half:.4f} at half the crossing count{unbounded}",
         )
     ]
 

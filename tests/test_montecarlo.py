@@ -7,10 +7,11 @@ import pytest
 import uavcap.geometry
 import uavcap.link
 from uavcap.config import parse_config
-from uavcap.detection import pd_single
+from uavcap.detection import lrt_threshold, pd_single
 from uavcap.geometry import SensingRegion
 from uavcap.link import RadarLinkParams, mean_single_uav_snr, path_gain_squared
 from uavcap.montecarlo import (
+    TAG_DETECTION,
     EmpiricalEstimate,
     TrialPlan,
     _run_chunks,
@@ -140,14 +141,28 @@ def test_mc_detection_rates_match_analytic() -> None:
 
 
 def test_mc_detection_rates_integration_invariance() -> None:
-    # The same post-integration SNR gives the same statistics regardless of
-    # how many symbols carried it; with a shared seed the estimates are
-    # statistically indistinguishable (checked against 4 SE).
+    # The same post-integration SNR gives the same LLR law however many
+    # symbols carried it, so under one seed the estimates agree exactly.
     plan = TrialPlan(30_000, SEED)
-    one, _ = mc_detection_rates(4.0, 0.05, cpi_symbols=1, plan=plan)
-    many, _ = mc_detection_rates(4.0, 0.05, cpi_symbols=6, plan=plan)
-    se = math.sqrt(0.9 * 0.1 / plan.trials)
-    assert abs(one.mean - many.mean) < 4.0 * se * math.sqrt(2.0)
+    one = mc_detection_rates(4.0, 0.05, cpi_symbols=1, plan=plan)
+    for n_symbols in (3, 6, 8):
+        assert mc_detection_rates(4.0, 0.05, n_symbols, plan) == one
+
+
+@pytest.mark.parametrize("salt", [0, 3])
+def test_mc_detection_rates_count_one_normal_per_trial(salt: int) -> None:
+    # Draw for draw: the counts are the call's first `trials` normals
+    # against the two folded thresholds, so a kernel that drew N normals
+    # per trial would read other values.
+    snr, pfa, trials = 2.0, 0.05, 10_000
+    gamma = lrt_threshold(snr, pfa)
+    root = math.sqrt(2.0 * snr)
+    noise = substream(SEED, TAG_DETECTION, 0, salt).standard_normal(trials)
+    pd_est, pfa_est = mc_detection_rates(
+        snr, pfa, 3, TrialPlan(trials, SEED), salt=salt
+    )
+    assert pd_est.mean == np.count_nonzero(noise > (gamma - snr) / root) / trials
+    assert pfa_est.mean == np.count_nonzero(noise > (gamma + snr) / root) / trials
 
 
 def test_mc_detection_rates_saturate_when_threshold_unbounded() -> None:
@@ -223,18 +238,19 @@ PERFBENCH_WORKERS = [1, 2]
 # Pinned estimates, (cpi_symbols, seed, pd mean, pd half-width, pfa mean,
 # pfa half-width, energy mean, energy half-width) at 10_000 trials (two full
 # chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. They date from
-# the one-SFC64-stream-per-call generator, with H0 and H1 scored on one noise
-# block and the energy formed in place on the real and imaginary sums, less
-# the echo's (N A)^2, which is added back to the mean.
+# the one-SFC64-stream-per-call generator, with the energy formed in place on
+# the real and imaginary sums, less the echo's (N A)^2, which is added back
+# to the mean. H0 and H1 are scored on one normal per trial, which N does not
+# change, so the pd and pfa columns are the same for every cpi_symbols.
 KERNEL_PINS = [
     (1, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 7.764948887100558e-10, 1.746723753226547e-11),
     (1, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 7.859336681433855e-10, 1.7423846951418077e-11),
-    (3, 424242, 0.6364, 0.012390650363839531, 0.0494, 0.005581866675415847, 4.623724648420375e-09, 7.962113404957608e-11),
-    (3, 7, 0.6469, 0.012310750055195415, 0.0497, 0.005597906477653389, 4.591281131303209e-09, 7.994827590319819e-11),
-    (8, 424242, 0.6382, 0.012377409533893652, 0.0479, 0.005500803342045295, 2.755314879410589e-08, 3.263693749287625e-10),
-    (8, 7, 0.6387, 0.012373698179052223, 0.0516, 0.0056982001923298504, 2.7383525414327536e-08, 3.2689329962117456e-10),
-    (16, 424242, 0.6343, 0.012405861131174851, 0.0482, 0.005517132941935202, 1.0385520527555284e-07, 9.145655748344363e-10),
-    (16, 7, 0.6399, 0.012364731649458265, 0.05, 0.005613889814990204, 1.0295356255853533e-07, 9.095908360760599e-10),
+    (3, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 4.623724648420375e-09, 7.962113404957608e-11),
+    (3, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 4.591281131303209e-09, 7.994827590319819e-11),
+    (8, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 2.755314879410589e-08, 3.263693749287625e-10),
+    (8, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 2.7383525414327536e-08, 3.2689329962117456e-10),
+    (16, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 1.0385520527555284e-07, 9.145655748344363e-10),
+    (16, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 1.0295356255853533e-07, 9.095908360760599e-10),
 ]
 
 @pytest.mark.parametrize("workers", PERFBENCH_WORKERS)

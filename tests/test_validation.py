@@ -18,6 +18,7 @@ from uavcap.validation import (
     STATUSES,
     CheckResult,
     _density_checks,
+    _detection_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
     _sampler_checks,
@@ -286,6 +287,46 @@ def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
     assert calls <= 60
 
 
+@pytest.mark.parametrize("pd_threshold", ["0.05", "0.1", "0.2", "0.3", "0.5"])
+def test_joint_pd_shape_with_one_second_difference_passes(
+    pd_threshold: str, capsys
+) -> None:
+    # The crossing is 3, so there is one second difference, and on these
+    # sound curves it is positive: the parabola bound cannot be read there.
+    argv = ["validate", "--trials", "0", "--set", "pfa=1e-6"]
+    argv += ["--set", "radius_ratio=1.5", "--set", f"pd_threshold={pd_threshold}"]
+    assert main(argv) == 0
+    [row] = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("joint_pd_slow_then_sharp,")
+    ]
+    assert row.startswith("joint_pd_slow_then_sharp,pass,")
+    assert "up to the crossing at 3;" in row
+    assert row.endswith('; one second difference, so no sharpness bound"')
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        (0.999, 0.5, 0.45),  # -ln PD concave
+        (0.6, 0.55, 0.01),  # already at 0.6 at half the crossing
+    ],
+)
+def test_joint_pd_shape_with_one_second_difference_keeps_its_other_bounds(
+    curve: tuple[float, ...], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # At crossing 3 only the sharpness bound is skipped: a curve that is not
+    # convex in -ln PD, or not slow first, still fails.
+    pds = dict(zip((1, 2, 3), curve))
+    monkeypatch.setattr(uavcap.validation, "joint_pd", lambda snr, count, pfa: pds[count])
+    config = parse_config(
+        "", {"pfa": "1e-6", "radius_ratio": "1.5", "pd_threshold": "0.5"}
+    )
+    [row] = _joint_pd_slow_then_sharp(config)
+    assert "up to the crossing at 3;" in row.detail
+    assert row.status == "fail"
+
+
 @pytest.mark.parametrize(
     "overrides, deviation",
     [
@@ -378,6 +419,28 @@ def test_energy_rows_keep_their_spread_when_the_echo_swamps_the_noise(
         se = math.sqrt((2.0 * echo * noise + noise * noise) / config.trials)
         assert row.status == "pass"
         assert row.tolerance == pytest.approx(3.0 * se, rel=0.05)
+
+
+def test_detection_rows_false_fail_at_their_stated_level() -> None:
+    # Each row tests at 3 binomial SE, so a sound kernel fails about 0.27 %
+    # of its draws: about 1.1 of these 400.
+    fails = sum(
+        row.status == "fail"
+        for seed in range(1, 201)
+        for row in _detection_checks(parse_config("", {"seed": str(seed)}))
+    )
+    assert fails <= 4
+
+
+def test_detection_rows_do_not_move_with_cpi_symbols(capsys) -> None:
+    rows = []
+    for n_symbols in ("1", "3", "8"):
+        main(["validate", "--trials", "20000", "--set", f"cpi_symbols={n_symbols}"])
+        out = capsys.readouterr().out
+        rows.append([line for line in out.splitlines() if line.startswith("detection_")])
+    assert len(rows[0]) == 2
+    assert rows[1] == rows[0]
+    assert rows[2] == rows[0]
 
 
 def test_every_sampled_check_without_trials_is_inconclusive() -> None:
