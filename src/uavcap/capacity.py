@@ -200,6 +200,12 @@ def _pd_guess(
     return math.floor(guess)
 
 
+def _log_pd_floor(spec: DetectionSpec) -> float:
+    """ln(pd_threshold) less the relative slack: the floor both PD solvers test."""
+    ln_floor = math.log(spec.pd_threshold)
+    return ln_floor - _REL_SLACK * abs(ln_floor)
+
+
 def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
     """Largest L with ln(joint PD) >= ln(pd_threshold), by a seeded search.
 
@@ -212,8 +218,7 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
     """
     mean_one = mean_snr_at(query, 1)
     xi = q_inv(query.spec.pfa)
-    ln_floor = math.log(query.spec.pd_threshold)
-    floor = ln_floor - _REL_SLACK * abs(ln_floor)
+    floor = _log_pd_floor(query.spec)
     mode = query.surrogate_mode
     if mode != "exact":
         rho = 2.0 * mean_one
@@ -248,15 +253,15 @@ def capacity_under_pd_scan(
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     mean_one = mean_snr_at(query, 1)
-    ln_floor = math.log(query.spec.pd_threshold)
+    floor = _log_pd_floor(query.spec)
     xi = q_inv(query.spec.pfa)
 
     def holds(num_uavs: int) -> bool:
-        return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= ln_floor
+        return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
     # The objective is written out in the loop, not called through holds,
     # to save a Python frame per count; holds serves the post-hoc check.
     for num in range(1, cap + 1):
-        if not num * log_pd_single(mean_one / num, xi) >= ln_floor:
+        if not num * log_pd_single(mean_one / num, xi) >= floor:
             return _make_result(query, mean_one, num - 1, holds)
     return _make_result(query, mean_one, cap, holds, cap_reached=True)

@@ -149,9 +149,9 @@ def log_joint_pd_surrogate(
     -L * exp(exponent) with
 
     - mode "expanded": exponent = -a rho/L + (2 a xi - b) sqrt(rho/L)
-      - a xi^2 + b xi - c, the symbolic expansion of
-      -a x^2 - b x - c (algebraically identical to evaluating the
-      surrogate at x).
+      - a xi^2 + b xi - c, the symbolic expansion of -a x^2 + b x - c.
+      The surrogate is then -L * q_exp_approx(-x), minus L times the
+      surrogate miss probability, as ln Q(x) = ln(1 - Q(-x)) ~ -Q(-x).
     - mode "fixed": the same terms in rho/L, then + 0.3798 xi - c, a
       historical tail kept for comparison. It is NOT the expansion's tail
       (-a xi^2 + b xi - c); the two variants differ by the constant factor

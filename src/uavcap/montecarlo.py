@@ -18,10 +18,8 @@ uniform per trial (a log-uniform range, importance-weighted), detection one
 normal per trial that both hypotheses share (the LLR is normal with the same
 law for any number of integrated symbols; H0 and H1 compare that one draw
 against two thresholds, as common random numbers), and the integration
-energy both the real and the imaginary noise blocks. The energy kernel sums
-a trial's cpi_symbols noise symbols left to right, one column at a time
-(_row_sums), so the summation order is fixed here rather than by numpy's
-reduction.
+energy one real and one imaginary normal per trial (the coherent sum of N
+independent CN(0, sigma^2) noise symbols is exactly CN(0, N sigma^2)).
 
 Estimates carry two-sided confidence half-widths (normal approximation;
 binomial standard error for rates).
@@ -120,28 +118,6 @@ def _run_chunks(
     """Apply kernel to every chunk, in order, on one generator per call."""
     rng = substream(plan.master_seed, tag, 0, salt)
     return [kernel(rng, count) for count in _chunk_sizes(plan.trials)]
-
-
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Per-row sums of a 2-D block, added left to right one column at a time.
-
-    The order is defined here: block.sum(axis=1) agrees bit for bit only up
-    to 7 columns (numpy adds 8 or more pairwise), and runs a per-row loop
-    that takes several times as long on the narrow blocks the kernels sum.
-    """
-    total = block[:, 0].copy()
-    for column in range(1, block.shape[1]):
-        total += block[:, column]
-    return total
-
-
-def _noise_sums(
-    rng: np.random.Generator, count: int, n_sym: int, scale: float
-) -> np.ndarray:
-    """Per-trial sums of one (count, n_sym) normal block scaled by `scale`."""
-    block = rng.standard_normal((count, n_sym))
-    block *= scale
-    return _row_sums(block)
 
 
 def _reduce_mean(
@@ -287,7 +263,10 @@ def mc_integration_energy(
     Per trial: y_n = kappa * sqrt(P_T / K) * path_amplitude + noise with
     per-symbol noise variance sigma^2; the statistic is |sum_n y_n|^2.
     Expected value: N^2 * A^2 + N * sigma^2, i.e. signal energy grows as
-    N^2 while noise only as N. The kernel sums each trial's energy less
+    N^2 while noise only as N. The sum of the N independent CN(0, sigma^2)
+    noise symbols is exactly CN(0, N sigma^2), so each chunk draws its
+    trials' real parts, then their imaginary parts, as standard normals
+    scaled by sqrt(N sigma^2 / 2). The kernel sums each trial's energy less
     the echo's (N A)^2, so the spread is not lost to cancellation when the
     echo swamps the noise.
     """
@@ -301,15 +280,16 @@ def mc_integration_energy(
         * math.sqrt(params.tx_power_mw / params.uavs_per_symbol)
         * path_amplitude
     )
-    scale = math.sqrt(params.noise_power_mw / 2.0)
+    scale = math.sqrt(n_sym * params.noise_power_mw / 2.0)
     echo = n_sym * amp
 
     def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        # Sum the real and imaginary noise blocks apart and form
-        # |N A + real + j imag|^2 - (N A)^2 = real (real + 2 N A) + imag^2
-        # on the per-trial sums: no complex temporary is built.
-        real = _noise_sums(rng, count, n_sym, scale)
-        imag = _noise_sums(rng, count, n_sym, scale)
+        # |N A + real + j imag|^2 - (N A)^2 = real (real + 2 N A) + imag^2,
+        # formed without a complex temporary.
+        real = rng.standard_normal(count)
+        real *= scale
+        imag = rng.standard_normal(count)
+        imag *= scale
         real *= real + 2.0 * echo
         np.square(imag, out=imag)
         real += imag

@@ -217,10 +217,9 @@ def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
     link, region = config.link(), config.region()
     estimate = mc_mean_snr(link, region, config.plan())
     hw_db = _halfwidth_db(estimate)
-    # Tolerance: the 0.1 dB floor or 3 standard errors, whichever is looser;
-    # a CI so wide that even a 2x defect could hide is inconclusive.
-    se_db = hw_db / confidence_z(config.confidence)
-    tol_db = max(0.1, 3.0 * se_db)
+    # Tolerance: 3 standard errors, like the detection and energy rows; a CI
+    # so wide that even a 2x defect could hide is inconclusive.
+    tol_db = 3.0 * hw_db / confidence_z(config.confidence)
     too_wide = not math.isfinite(hw_db) or tol_db > 3.0
     mc_db = linear_to_db(estimate.mean) if estimate.mean > 0.0 else math.nan
     closed_db = linear_to_db(mean_single_uav_snr(link, region, "normalized"))

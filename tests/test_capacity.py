@@ -345,6 +345,15 @@ def test_bisect_agrees_with_scan(
     )
 
 
+def test_scan_and_search_share_one_floor() -> None:
+    # At this floor the joint PD at 33 UAVs sits within the relative slack
+    # below pd_threshold: the search counts 33 as meeting it, and a scan that
+    # compared against the bare ln(pd_threshold) stopped at 32.
+    query = _query(spec=replace(SPEC, pd_threshold=0.9607824058059576))
+    assert capacity_under_pd_bisect(query).max_uavs == 33
+    assert capacity_under_pd_scan(query).max_uavs == 33
+
+
 def test_capacity_monotone_in_threshold() -> None:
     capacities = [
         capacity_under_pd_bisect(_query(spec=replace(SPEC, pd_threshold=t))).max_uavs

@@ -192,8 +192,9 @@ def test_q_exp_approx_domain() -> None:
 
 
 def test_surrogate_matches_pointwise_tail_approximation() -> None:
-    # The expanded exponent is the symbolic expansion of the tail surrogate
-    # evaluated at x = xi - sqrt(rho/L); cross-check through q_exp_approx.
+    # The expanded exponent is the symbolic expansion of -a x^2 + b x - c at
+    # x = xi - sqrt(rho/L), so the value is -L * q_exp_approx(-x), which the
+    # reflection writes as -L * (1 - q_exp_approx(x)).
     xi = q_inv(0.05)
     for rho, num in [(30.0, 2), (100.0, 5), (722.0, 33)]:
         x = xi - math.sqrt(rho / num)

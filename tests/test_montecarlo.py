@@ -12,6 +12,7 @@ from uavcap.geometry import SensingRegion
 from uavcap.link import RadarLinkParams, mean_single_uav_snr, path_gain_squared
 from uavcap.montecarlo import (
     TAG_DETECTION,
+    TAG_ENERGY,
     EmpiricalEstimate,
     TrialPlan,
     _run_chunks,
@@ -208,6 +209,29 @@ def test_mc_integration_energy_matches_closed_form(
     )
 
 
+@pytest.mark.parametrize("n_symbols", [1, 3, 8])
+def test_mc_integration_energy_draws_one_complex_normal_per_trial(
+    reference_link: RadarLinkParams, n_symbols: int
+) -> None:
+    # Draw for draw: each chunk takes its real parts, then its imaginary
+    # parts, from the call's one stream, scaled to the integrated noise
+    # CN(0, N sigma^2), so a kernel that drew N symbols per trial would read
+    # other values.
+    link = replace(reference_link, cpi_symbols=n_symbols)
+    amplitude = math.sqrt(path_gain_squared(link, 1.0))
+    per_symbol = link.gain_amplitude * math.sqrt(link.tx_power_mw / link.uavs_per_symbol)
+    echo = n_symbols * (per_symbol * amplitude)
+    scale = math.sqrt(n_symbols * link.noise_power_mw / 2.0)
+    rng = substream(SEED, TAG_ENERGY, 0, 0)
+    sums = []
+    for count in (4096, 4096, 1808):
+        real = rng.standard_normal(count) * scale
+        imag = rng.standard_normal(count) * scale
+        sums.append(float((real * (real + 2.0 * echo) + imag * imag).sum()))
+    est = mc_integration_energy(link, amplitude, TrialPlan(10_000, SEED))
+    assert est.mean == echo * echo + math.fsum(sums) / 10_000
+
+
 def test_mc_integration_energy_validation(reference_link: RadarLinkParams) -> None:
     with pytest.raises(ValueError, match="path_amplitude"):
         mc_integration_energy(reference_link, -1.0, TrialPlan(10, SEED))
@@ -238,19 +262,21 @@ PERFBENCH_WORKERS = [1, 2]
 # Pinned estimates, (cpi_symbols, seed, pd mean, pd half-width, pfa mean,
 # pfa half-width, energy mean, energy half-width) at 10_000 trials (two full
 # chunks and a partial one), snr 2, pfa 0.05, energy at 1 km. They date from
-# the one-SFC64-stream-per-call generator, with the energy formed in place on
-# the real and imaginary sums, less the echo's (N A)^2, which is added back
-# to the mean. H0 and H1 are scored on one normal per trial, which N does not
-# change, so the pd and pfa columns are the same for every cpi_symbols.
+# the one-SFC64-stream-per-call generator. The energy draws one real and one
+# imaginary normal per trial for the integrated noise, scaled by
+# sqrt(N sigma^2 / 2), and is formed less the echo's (N A)^2, which is added
+# back to the mean. H0 and H1 are scored on one normal per trial, which N
+# does not change, so the pd and pfa columns are the same for every
+# cpi_symbols.
 KERNEL_PINS = [
     (1, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 7.764948887100558e-10, 1.746723753226547e-11),
     (1, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 7.859336681433855e-10, 1.7423846951418077e-11),
-    (3, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 4.623724648420375e-09, 7.962113404957608e-11),
-    (3, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 4.591281131303209e-09, 7.994827590319819e-11),
-    (8, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 2.755314879410589e-08, 3.263693749287625e-10),
-    (8, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 2.7383525414327536e-08, 3.2689329962117456e-10),
-    (16, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 1.0385520527555284e-07, 9.145655748344363e-10),
-    (16, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 1.0295356255853533e-07, 9.095908360760599e-10),
+    (3, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 4.6053833265883596e-09, 7.963050019393819e-11),
+    (3, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 4.653568036159546e-09, 7.951554978547595e-11),
+    (8, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 2.746217648423076e-08, 3.301241724391577e-10),
+    (8, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 2.767001949799158e-08, 3.2975091578491475e-10),
+    (16, 424242, 0.6323, 0.012420111235120296, 0.051, 0.005666765925930113, 1.0351753989768358e-07, 9.191057098304922e-10),
+    (16, 7, 0.6375, 0.012382581057244267, 0.0525, 0.005744951155554317, 1.0410281156682927e-07, 9.181071963107602e-10),
 ]
 
 @pytest.mark.parametrize("workers", PERFBENCH_WORKERS)
@@ -271,18 +297,19 @@ def test_kernels_reproduce_pinned_estimates(pin: tuple, workers: int) -> None:
 
 # Pinned zero-amplitude energies, (cpi_symbols, seed, mean, half-width) at
 # 10_000 trials. With no echo the estimate is noise alone, so unlike the
-# signal-dominated KERNEL_PINS it reads every bit of the per-trial sums.
-# cpi_symbols 3 and 7 are summed in the order numpy's .sum(axis=1) uses up
-# to 7 columns; 8 and 16 pin the left-to-right column sums past it.
+# signal-dominated KERNEL_PINS it reads every bit of the per-trial energies.
+# Every cpi_symbols reads the same normals, so each row differs from the
+# others of its seed only by the noise scale sqrt(N sigma^2 / 2) and its
+# rounding.
 ZERO_AMPLITUDE_ENERGY_PINS = [
-    (3, 424242, 1.1916596093693713e-09, 3.10237593512561e-11),
-    (3, 7, 1.1893313830871574e-09, 3.0418445819131606e-11),
-    (7, 424242, 2.761390186288375e-09, 7.229185881444994e-11),
-    (7, 7, 2.7454223407589815e-09, 6.981833350675947e-11),
-    (8, 424242, 3.1684157195741493e-09, 8.164174622762386e-11),
-    (8, 7, 3.1024607677305766e-09, 8.014179648805514e-11),
-    (16, 424242, 6.2924778016420746e-09, 1.6309918100277234e-10),
-    (16, 7, 6.239529596797139e-09, 1.6346365173400445e-10),
+    (3, 424242, 1.194288276778904e-09, 3.075232265069777e-11),
+    (3, 7, 1.1954639151906175e-09, 3.050209598650838e-11),
+    (7, 424242, 2.7866726458174434e-09, 7.175541951829478e-11),
+    (7, 7, 2.7894158021114414e-09, 7.11715573018529e-11),
+    (8, 424242, 3.1847687380770773e-09, 8.200619373519405e-11),
+    (8, 7, 3.1879037738416474e-09, 8.133892263068903e-11),
+    (16, 424242, 6.369537476154154e-09, 1.6401238747038807e-10),
+    (16, 7, 6.375807547683292e-09, 1.6267784526137803e-10),
 ]
 
 

@@ -119,6 +119,35 @@ def test_mean_snr_rows_pass_at_a_wide_large_region() -> None:
     assert [row.status for row in rows] == ["pass", "pass"]
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_snr_check_catches_a_small_closed_form_defect(
+    seed: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # +0.08 dB (1.9 %) on E[r^-4]: about 9 SE at the default trials, yet
+    # inside the 0.1 dB floor the rows once kept.
+    real = uavcap.link.expected_inverse_quartic_range
+    monkeypatch.setattr(
+        uavcap.link, "expected_inverse_quartic_range",
+        lambda region: real(region) * 10.0**0.008,
+    )
+    rows = _snr_checks(parse_config("", {"seed": seed}))
+    assert [row.status for row in rows] == ["fail", "fail"]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"radius_ratio": "1000"}], ids=["reference", "ratio1000"])
+def test_mean_snr_rows_false_fail_at_their_stated_level(overrides: dict) -> None:
+    # Both rows read one estimate's deviation, so they fail together; at
+    # 3 SE a sound oracle fails about 0.27 % of seeds, about 0.54 of these 200.
+    failing_seeds = sum(
+        any(
+            row.status == "fail"
+            for row in _snr_checks(parse_config("", {**overrides, "seed": str(seed)}))
+        )
+        for seed in range(1, 201)
+    )
+    assert failing_seeds <= 3
+
+
 def test_report_round_trips_config_and_schema() -> None:
     config = parse_config("trials = 10\npfa = 0.02\n")
     results = run_validation(config)
