@@ -7,7 +7,11 @@ SeedSequence(master_seed, spawn_key=(tag, salt, 0)). Trials are processed
 in fixed chunks of _CHUNK, drawn from that one stream in chunk order, and
 the per-chunk partial sums are combined with math.fsum in chunk order. So
 raising the trial count only extends the stream: the first k full chunks
-of a longer run are the chunks of a k-chunk run.
+of a longer run are the chunks of a k-chunk run. A kernel takes up to
+_BLOCK full chunks at once, one chunk per row of an array filled by one
+generator call, and reduces each row on its own; the ragged last chunk is
+a block of one row. The draws and each chunk's partial sums are the same
+as one chunk at a time.
 
 The estimators' `workers` parameter is ignored. It stays only because the
 benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
@@ -41,6 +45,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 4096
+_BLOCK = 8  # full chunks per generator call
 
 # Tags keep the substreams of unrelated estimators disjoint under one seed.
 TAG_POSITIONS = 1
@@ -104,20 +109,31 @@ def substream(
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _chunk_sizes(trials: int) -> list[int]:
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """(rows, chunk size) of each block: up to _BLOCK full chunks, then the
+    ragged rest as a block of one row."""
     full, rest = divmod(trials, _CHUNK)
-    return [_CHUNK] * full + ([rest] if rest else [])
+    blocks = [(min(_BLOCK, full - start), _CHUNK) for start in range(0, full, _BLOCK)]
+    return blocks + ([(1, rest)] if rest else [])
 
 
 def _run_chunks(
     plan: TrialPlan,
     tag: int,
-    kernel: Callable[[np.random.Generator, int], tuple[float, ...]],
+    kernel: Callable[[np.random.Generator, int, int], tuple[np.ndarray, ...]],
     salt: int,
 ) -> list[tuple[float, ...]]:
-    """Apply kernel to every chunk, in order, on one generator per call."""
+    """Per-chunk partials of every chunk, in order, on one generator per call.
+
+    kernel(rng, rows, count) draws a block of `rows` chunks of `count`
+    trials in one call, chunk after chunk, and returns each partial as an
+    array with one entry per chunk.
+    """
     rng = substream(plan.master_seed, tag, 0, salt)
-    return [kernel(rng, count) for count in _chunk_sizes(plan.trials)]
+    parts: list[tuple[float, ...]] = []
+    for rows, count in _blocks(plan.trials):
+        parts.extend(zip(*(part.tolist() for part in kernel(rng, rows, count))))
+    return parts
 
 
 def _reduce_mean(
@@ -190,11 +206,11 @@ def mc_mean_snr(
             f"{region.inner_range:g} km is not finite"
         )
 
-    def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-        values = rng.random(count)
+    def kernel(rng: np.random.Generator, rows: int, count: int) -> tuple[np.ndarray, ...]:
+        values = rng.random((rows, count))
         values *= -log_ratio
         np.exp(values, out=values)
-        return float(values.sum()), float(np.dot(values, values))
+        return values.sum(axis=1), np.vecdot(values, values)
 
     parts = _run_chunks(plan, TAG_POSITIONS, kernel, salt)
     return _reduce_mean(parts, plan, weight)
@@ -238,12 +254,13 @@ def mc_detection_rates(
     false_alarm_at = (gamma + snr) / root
     detection_at = (gamma - snr) / root
 
-    def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
+    def kernel(rng: np.random.Generator, rows: int, count: int) -> tuple[np.ndarray, ...]:
         # One draw serves both hypotheses (common random numbers).
-        noise = rng.standard_normal(count)
-        detections = int(np.count_nonzero(noise > detection_at))
-        false_alarms = int(np.count_nonzero(noise > false_alarm_at))
-        return detections, false_alarms
+        noise = rng.standard_normal((rows, count))
+        return (
+            np.count_nonzero(noise > detection_at, axis=1),
+            np.count_nonzero(noise > false_alarm_at, axis=1),
+        )
 
     parts = _run_chunks(plan, TAG_DETECTION, kernel, salt)
     detections = sum(p[0] for p in parts)
@@ -283,17 +300,16 @@ def mc_integration_energy(
     scale = math.sqrt(n_sym * params.noise_power_mw / 2.0)
     echo = n_sym * amp
 
-    def kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
+    def kernel(rng: np.random.Generator, rows: int, count: int) -> tuple[np.ndarray, ...]:
         # |N A + real + j imag|^2 - (N A)^2 = real (real + 2 N A) + imag^2,
         # formed without a complex temporary.
-        real = rng.standard_normal(count)
-        real *= scale
-        imag = rng.standard_normal(count)
-        imag *= scale
+        noise = rng.standard_normal((rows, 2, count))
+        noise *= scale
+        real, imag = noise[:, 0], noise[:, 1]
         real *= real + 2.0 * echo
         np.square(imag, out=imag)
         real += imag
-        return float(real.sum()), float(np.dot(real, real))
+        return real.sum(axis=1), np.vecdot(real, real)
 
     parts = _run_chunks(plan, TAG_ENERGY, kernel, salt)
     return _reduce_mean(parts, plan, shift=echo * echo)

@@ -9,12 +9,20 @@ import uavcap.link
 from uavcap.config import parse_config
 from uavcap.detection import lrt_threshold, pd_single
 from uavcap.geometry import SensingRegion
-from uavcap.link import RadarLinkParams, mean_single_uav_snr, path_gain_squared
+from uavcap.link import (
+    RadarLinkParams,
+    mean_single_uav_snr,
+    path_gain_squared,
+    per_uav_snr,
+)
 from uavcap.montecarlo import (
     TAG_DETECTION,
     TAG_ENERGY,
+    TAG_POSITIONS,
     EmpiricalEstimate,
     TrialPlan,
+    _rate_estimate,
+    _reduce_mean,
     _run_chunks,
     confidence_z,
     mc_detection_rates,
@@ -324,28 +332,96 @@ def test_zero_amplitude_energy_reproduces_pinned_sums(pin: tuple, workers: int) 
     assert (est.mean, est.half_width) == (mean, half_width)
 
 
-def _probe_kernel(rng: np.random.Generator, count: int) -> tuple[float, ...]:
-    # Leaves the generator holding half a 32-bit word, which the next chunk
-    # must go on from rather than drop.
-    normals = rng.standard_normal(3)
-    half_word = rng.integers(2**32, dtype=np.uint32)
-    return (float(count), *map(float, normals), float(half_word))
+def _probe_kernel(
+    rng: np.random.Generator, rows: int, count: int
+) -> tuple[np.ndarray, ...]:
+    block = rng.standard_normal((rows, count))
+    return np.full(rows, count), block[:, 0], block[:, -1], block.sum(axis=1)
+
+
+def _probe_chunks(rng: np.random.Generator, sizes: list[int]) -> list[tuple]:
+    # The probe's partials, recomputed one chunk at a time.
+    chunks = (rng.standard_normal(count) for count in sizes)
+    return [(x.size, float(x[0]), float(x[-1]), float(x.sum())) for x in chunks]
 
 
 @pytest.mark.parametrize("salt", [1, 2])
 def test_run_chunks_draws_every_chunk_in_order_from_one_substream(salt: int) -> None:
-    sizes = [4096, 4096, 4096, 5]  # three full chunks and a ragged one
+    sizes = [4096] * 9 + [5]  # a full block, one more full chunk, a ragged one
     drawn = _run_chunks(TrialPlan(sum(sizes), SEED), 3, _probe_kernel, salt)
-    rng = substream(SEED, 3, 0, salt)
-    assert drawn == [_probe_kernel(rng, count) for count in sizes]
+    assert drawn == _probe_chunks(substream(SEED, 3, 0, salt), sizes)
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("chunks", [1, 2, 3, 8, 9])
 def test_raising_trials_only_extends_the_stream(chunks: int) -> None:
     # The first k full chunks of a longer run are the chunks of a k-chunk run.
     short = _run_chunks(TrialPlan(chunks * 4096, SEED), 2, _probe_kernel, 0)
     long = _run_chunks(TrialPlan(chunks * 4096 + 4097, SEED), 2, _probe_kernel, 0)
     assert long[:chunks] == short
+
+
+def _chunk_sizes(trials: int) -> list[int]:
+    full, rest = divmod(trials, 4096)
+    return [4096] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 8 * 4096, 8 * 4096 + 1, 17 * 4096 + 5])
+def test_estimators_equal_a_chunk_at_a_time_recomputation(
+    reference_link: RadarLinkParams, reference_region: SensingRegion, trials: int
+) -> None:
+    # Each chunk's partial sums, formed one 1-D chunk at a time from the
+    # call's one stream and combined in chunk order, give the estimates
+    # bit for bit, however the kernels group chunks into generator calls.
+    salt = 2
+    plan = TrialPlan(trials, SEED)
+    sizes = _chunk_sizes(trials)
+
+    log_ratio = math.log(reference_region.radius_ratio)
+    shell = reference_region.max_range**3 * -math.expm1(-3.0 * log_ratio)
+    weight = (
+        per_uav_snr(reference_link, 1.0) * 3.0 * log_ratio
+        / (shell * reference_region.inner_range)
+    )
+    rng = substream(SEED, TAG_POSITIONS, 0, salt)
+    parts = []
+    for count in sizes:
+        values = np.exp(rng.random(count) * -log_ratio)
+        parts.append((float(values.sum()), float(np.dot(values, values))))
+    assert mc_mean_snr(
+        reference_link, reference_region, plan, salt=salt
+    ) == _reduce_mean(parts, plan, weight)
+
+    snr, pfa = 2.0, 0.05
+    root = math.sqrt(2.0 * snr)
+    gamma = lrt_threshold(snr, pfa)
+    rng = substream(SEED, TAG_DETECTION, 0, salt)
+    detections = false_alarms = 0
+    for count in sizes:
+        noise = rng.standard_normal(count)
+        detections += int(np.count_nonzero(noise > (gamma - snr) / root))
+        false_alarms += int(np.count_nonzero(noise > (gamma + snr) / root))
+    assert mc_detection_rates(snr, pfa, 3, plan, salt=salt) == (
+        _rate_estimate(detections, plan),
+        _rate_estimate(false_alarms, plan),
+    )
+
+    amplitude = math.sqrt(path_gain_squared(reference_link, 1.0))
+    n_sym = reference_link.cpi_symbols
+    per_symbol = reference_link.gain_amplitude * math.sqrt(
+        reference_link.tx_power_mw / reference_link.uavs_per_symbol
+    )
+    echo = n_sym * (per_symbol * amplitude)
+    scale = math.sqrt(n_sym * reference_link.noise_power_mw / 2.0)
+    rng = substream(SEED, TAG_ENERGY, 0, salt)
+    parts = []
+    for count in sizes:
+        real = rng.standard_normal(count) * scale
+        imag = rng.standard_normal(count) * scale
+        energy = real * (real + 2.0 * echo) + imag * imag
+        parts.append((float(energy.sum()), float(np.dot(energy, energy))))
+    assert mc_integration_energy(
+        reference_link, amplitude, plan, salt=salt
+    ) == _reduce_mean(parts, plan, shift=echo * echo)
 
 
 # Pinned mc_mean_snr estimates at the reference scenario: (seed, mean,
