@@ -5,6 +5,13 @@ its derivation: quadrature for densities and moments, Kolmogorov-Smirnov
 tests for the sampler, Monte Carlo for SNR/detection/integration, linear
 scan for the binary-search capacity, and exact Q for the surrogate.
 
+Each check group is registered by ``@_check``, which names its rows once,
+in report order. A group returns one ``_Row`` per name, and ``_result``
+is the one verdict rule: an ``unresolved`` reason gives ``inconclusive``,
+a set ``ok`` gives pass/fail for a qualitative check, and otherwise the
+row passes when ``|measured - expected| <= tolerance``. A sampled group
+at zero trials, or a group that raises, still reports every named row.
+
 Statistical honesty rule: a Monte Carlo check whose confidence interval is
 too wide to resolve its tolerance reports ``inconclusive`` (with the
 reason) instead of pass or fail. Deterministic checks never do.
@@ -12,8 +19,10 @@ reason) instead of pass or fail. Deterministic checks never do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass, replace
+from typing import Callable, NamedTuple
 
 from .capacity import (
     capacity_under_pd_bisect,
@@ -59,34 +68,62 @@ class CheckResult:
     detail: str = ""
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+class _Row(NamedTuple):
+    """What a check group reports for one of its named rows. ``ok`` is the
+    verdict of a qualitative check; ``unresolved`` is the reason a check
+    cannot resolve its tolerance."""
+
+    measured: float | None = None
+    expected: float | None = None
+    tolerance: float | None = None
+    detail: str = ""
+    ok: bool | None = None
+    unresolved: str | None = None
 
 
-def _quantitative(
-    name: str, measured: float, expected: float, tolerance: float, detail: str = ""
-) -> CheckResult:
-    ok = abs(measured - expected) <= tolerance
-    return CheckResult(name, _verdict(ok), measured, expected, tolerance, detail)
+def _result(name: str, row: _Row) -> CheckResult:
+    """The verdict rule for every row."""
+    if row.unresolved is not None:
+        status, detail = "inconclusive", row.unresolved
+    else:
+        ok = row.ok if row.ok is not None else (
+            abs(row.measured - row.expected) <= row.tolerance)
+        status, detail = ("pass" if ok else "fail"), row.detail
+    return CheckResult(name, status, row.measured, row.expected, row.tolerance, detail)
 
 
-def _sampled(
-    name: str, measured: float, expected: float, tolerance: float, detail: str,
-    unresolved: str | None = None,
-) -> CheckResult:
-    """A sampled check: inconclusive, with the reason unresolved, when its
-    sampling error cannot resolve the tolerance; otherwise quantitative."""
-    if unresolved is not None:
-        return CheckResult(name, "inconclusive", measured, expected, tolerance, unresolved)
-    return _quantitative(name, measured, expected, tolerance, detail)
+_Group = Callable[[ScenarioConfig], list[CheckResult]]
+
+# Check groups in report order, filled by @_check in source order.
+_CHECK_GROUPS: list[_Group] = []
 
 
-def _no_trials(*names: str) -> list[CheckResult]:
-    """The rows of a sampled check group that has no trials to draw."""
-    return [
-        CheckResult(name, "inconclusive", detail="inconclusive: trials = 0")
-        for name in names
-    ]
+def _check(*names: str, sampled: bool = False) -> Callable[[Callable], _Group]:
+    """Register a group that returns one ``_Row`` per name.
+
+    The registered group returns named ``CheckResult``s: ``inconclusive``
+    rows without running when it is ``sampled`` and there are no trials,
+    and a ``fail`` row per name, with the exception as detail, when it
+    raises. So the row names never depend on the input.
+    """
+
+    def register(group: Callable[[ScenarioConfig], list[_Row]]) -> _Group:
+        @functools.wraps(group)
+        def run(config: ScenarioConfig) -> list[CheckResult]:
+            if sampled and config.trials < 1:
+                rows = [_Row(unresolved="inconclusive: trials = 0")] * len(names)
+            else:
+                try:
+                    rows = group(config)
+                except Exception as exc:
+                    rows = [_Row(detail=f"{type(exc).__name__}: {exc}", ok=False)] * len(names)
+            return [_result(name, row) for name, row in zip(names, rows, strict=True)]
+
+        run.names = names
+        _CHECK_GROUPS.append(run)
+        return run
+
+    return register
 
 
 def _gauss_legendre(low: float, high: float, panels: int = 1) -> list[tuple[float, float]]:
@@ -103,7 +140,10 @@ def _gauss_legendre(low: float, high: float, panels: int = 1) -> list[tuple[floa
     return rule
 
 
-def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
+@_check(
+    "density_mass_normalized", "density_mass_unnormalized", "inverse_quartic_range_moment"
+)
+def _density_checks(config: ScenarioConfig) -> list[_Row]:
     region = config.region()
     # The density is r^2 cos(elevation), so a 20 x 20 product rule
     # integrates it to rounding.
@@ -118,22 +158,18 @@ def _density_checks(config: ScenarioConfig) -> list[CheckResult]:
         )
 
     return [
-        _quantitative(
-            "density_mass_normalized", mass("normalized"), 1.0, 1e-6,
-            "quadrature over the support",
-        ),
-        _quantitative(
-            "density_mass_unnormalized",
+        _Row(mass("normalized"), 1.0, 1e-6, "quadrature over the support"),
+        _Row(
             mass("unnormalized"),
             math.sin(region.max_elevation),
             1e-6,
             "integrates to sin(max_elevation), not 1",
         ),
-        _quartic_moment_check(region),
+        _quartic_moment_row(region),
     ]
 
 
-def _quartic_moment_check(region: SensingRegion) -> CheckResult:
+def _quartic_moment_row(region: SensingRegion) -> _Row:
     e3 = region.radius_ratio**3
     radial = lambda r: 3.0 * e3 * r * r / (region.max_range**3 * (e3 - 1.0))
 
@@ -146,8 +182,7 @@ def _quartic_moment_check(region: SensingRegion) -> CheckResult:
     low, high = math.log(region.inner_range), math.log(region.max_range)
     rule = _gauss_legendre(low, high, max(1, math.ceil(high - low)))
     moment = math.fsum(w * integrand(u) for u, w in rule)
-    return _quantitative(
-        "inverse_quartic_range_moment",
+    return _Row(
         expected_inverse_quartic_range(region),
         moment,
         1e-9 * abs(moment),
@@ -162,10 +197,8 @@ def _quartic_moment_check(region: SensingRegion) -> CheckResult:
 _KS_CRITICAL = 1.788425236148623
 
 
-def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
-    names = ("sampler_ks_range", "sampler_ks_elevation", "sampler_ks_azimuth")
-    if config.trials < 1:
-        return _no_trials(*names)
+@_check("sampler_ks_range", "sampler_ks_elevation", "sampler_ks_azimuth", sampled=True)
+def _sampler_checks(config: ScenarioConfig) -> list[_Row]:
     import numpy as np
 
     region = config.region()
@@ -183,11 +216,11 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     critical = _KS_CRITICAL / math.sqrt(n)
     # A KS statistic is at most 1, so a critical value of 1 or more can
     # never be reached: such a test passes whatever the sampler does.
-    vacuous = critical >= 1.0
-    if vacuous:
-        detail = f"inconclusive: KS critical value {critical:.3g} >= 1 at n = {n}"
-    else:
-        detail = f"KS vs uniform after the probability transform at 1 %/3, n = {n}"
+    vacuous = (
+        f"inconclusive: KS critical value {critical:.3g} >= 1 at n = {n}"
+        if critical >= 1.0 else None
+    )
+    detail = f"KS vs uniform after the probability transform at 1 %/3, n = {n}"
 
     probes = (
         (ranges**3 - inner3) / (outer3 - inner3),
@@ -196,13 +229,12 @@ def _sampler_checks(config: ScenarioConfig) -> list[CheckResult]:
     )
     # The two-sided KS statistic against U(0, 1), as scipy defines it.
     up, down = np.arange(1, n + 1) / n, np.arange(0, n) / n
-    results = []
-    for name, unit in zip(names, probes):
+    rows = []
+    for unit in probes:
         unit = np.sort(unit)
         stat = float(max(np.max(up - unit), np.max(unit - down)))
-        status = "inconclusive" if vacuous else _verdict(stat < critical)
-        results.append(CheckResult(name, status, stat, 0.0, critical, detail))
-    return results
+        rows.append(_Row(stat, 0.0, critical, detail, stat < critical, vacuous))
+    return rows
 
 
 def _halfwidth_db(estimate: EmpiricalEstimate) -> float:
@@ -211,9 +243,8 @@ def _halfwidth_db(estimate: EmpiricalEstimate) -> float:
     return 10.0 * math.log10(estimate.high / estimate.mean)
 
 
-def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
-    if config.trials < 1:
-        return _no_trials("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap")
+@_check("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap", sampled=True)
+def _snr_checks(config: ScenarioConfig) -> list[_Row]:
     link, region = config.link(), config.region()
     estimate = mc_mean_snr(link, region, config.plan())
     hw_db = _halfwidth_db(estimate)
@@ -227,21 +258,19 @@ def _snr_checks(config: ScenarioConfig) -> list[CheckResult]:
     gap_expected = 10.0 * math.log10(math.sin(region.max_elevation))
     note = f"inconclusive: CI too wide ({hw_db:.3g} dB)" if too_wide else None
     return [
-        _sampled(
-            "mean_snr_mc_vs_closed_form", mc_db, closed_db, tol_db,
-            f"{config.trials} trials, CI half-width {hw_db:.3g} dB", note,
+        _Row(
+            mc_db, closed_db, tol_db,
+            f"{config.trials} trials, CI half-width {hw_db:.3g} dB", unresolved=note,
         ),
-        _sampled(
-            "mean_snr_mode_gap", unnorm_db - mc_db, gap_expected, tol_db,
-            "unnormalized closed form minus sampled mean, dB", note,
+        _Row(
+            unnorm_db - mc_db, gap_expected, tol_db,
+            "unnormalized closed form minus sampled mean, dB", unresolved=note,
         ),
     ]
 
 
-def _detection_checks(config: ScenarioConfig) -> list[CheckResult]:
-    names = ("detection_pd_rate", "detection_pfa_rate")
-    if config.trials < 1:
-        return _no_trials(*names)
+@_check("detection_pd_rate", "detection_pfa_rate", sampled=True)
+def _detection_checks(config: ScenarioConfig) -> list[_Row]:
     # Operating point in the informative region (pd ~ 0.9 at the configured
     # false-alarm rate) rather than a saturated one.
     xi = q_inv(config.pfa)
@@ -249,39 +278,38 @@ def _detection_checks(config: ScenarioConfig) -> list[CheckResult]:
     pd_est, pfa_est = mc_detection_rates(
         snr, config.pfa, config.cpi_symbols, config.plan()
     )
-    truth = {
-        "detection_pd_rate": (pd_est, pd_single(snr, config.pfa)),
-        "detection_pfa_rate": (pfa_est, config.pfa),
-    }
-    results = []
-    for name, (estimate, expected) in truth.items():
+    rows = []
+    for estimate, expected in ((pd_est, pd_single(snr, config.pfa)), (pfa_est, config.pfa)):
         tol = 3.0 * math.sqrt(expected * (1.0 - expected) / config.trials)
         unresolved = "inconclusive: CI too wide (3 SE > 0.05)" if tol > 0.05 else None
-        results.append(
-            _sampled(
-                name, estimate.mean, expected, tol,
-                f"3 binomial SE at {config.trials} trials", unresolved,
+        rows.append(
+            _Row(
+                estimate.mean, expected, tol,
+                f"3 binomial SE at {config.trials} trials", unresolved=unresolved,
             )
         )
-    return results
+    return rows
 
 
-def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
+# Symbol counts of the integration energy rows.
+_ENERGY_COUNTS = (1, 3, 8)
+
+
+@_check(
+    *(f"integration_energy_n{n}" for n in _ENERGY_COUNTS),
+    "integration_snr_slope",
+    sampled=True,
+)
+def _integration_checks(config: ScenarioConfig) -> list[_Row]:
     import numpy as np
-
-    counts = (1, 3, 8)
-    if config.trials < 1:
-        return _no_trials(
-            *(f"integration_energy_n{n}" for n in counts), "integration_snr_slope"
-        )
 
     base = config.link()
     amplitude = math.sqrt(path_gain_squared(base, config.radius_km))
     z = confidence_z(config.confidence)
-    results = []
+    rows = []
     # (N, energy-derived SNR, its standard error) per symbol count.
     snr_points: list[tuple[int, float, float]] = []
-    for n in counts:
+    for n in _ENERGY_COUNTS:
         link = replace(base, cpi_symbols=n)
         est = mc_integration_energy(link, amplitude, config.plan(), salt=n)
         signal = link.gain_amplitude * math.sqrt(
@@ -290,11 +318,12 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
         expected = n * n * signal**2 + n * link.noise_power_mw
         tol = 3.0 * est.half_width / z
         too_wide = est.half_width / expected > 0.1
-        results.append(
-            _sampled(
-                f"integration_energy_n{n}", est.mean, expected, tol,
-                "signal energy grows as N^2, noise as N",
-                "inconclusive: CI too wide (rel. half-width > 10%)" if too_wide else None,
+        rows.append(
+            _Row(
+                est.mean, expected, tol, "signal energy grows as N^2, noise as N",
+                unresolved=(
+                    "inconclusive: CI too wide (rel. half-width > 10%)" if too_wide else None
+                ),
             )
         )
         noise = n * link.noise_power_mw
@@ -302,8 +331,8 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
         if empirical_snr > 0.0:
             snr_points.append((n, empirical_snr, est.half_width / z / noise))
 
-    resolved = all(r.status != "inconclusive" for r in results)
-    if resolved and len(snr_points) == len(counts):
+    resolved = all(row.unresolved is None for row in rows)
+    if resolved and len(snr_points) == len(_ENERGY_COUNTS):
         logs = np.log([n for n, _, _ in snr_points])
         vals = np.log([snr for _, snr, _ in snr_points])
         # The least-squares slope is sum(w_i ln SNR_i) with weights
@@ -321,36 +350,28 @@ def _integration_checks(config: ScenarioConfig) -> list[CheckResult]:
             if 3.0 * slope_se > 0.05
             else None
         )
-        results.append(
-            _sampled(
-                "integration_snr_slope", slope, 1.0, 0.05,
-                "log-log slope of energy-derived SNR vs symbol count", unresolved,
+        rows.append(
+            _Row(
+                slope, 1.0, 0.05, "log-log slope of energy-derived SNR vs symbol count",
+                unresolved=unresolved,
             )
         )
     else:
-        results.append(
-            CheckResult(
-                "integration_snr_slope", "inconclusive",
-                detail="inconclusive: energy estimates too noisy",
-            )
-        )
-    return results
+        rows.append(_Row(unresolved="inconclusive: energy estimates too noisy"))
+    return rows
 
 
-def _q_approx_check(config: ScenarioConfig) -> list[CheckResult]:
+@_check("q_surrogate_max_abs_error")
+def _q_approx_check(config: ScenarioConfig) -> list[_Row]:
     import numpy as np
 
     grid = np.linspace(0.0, 4.0, 4001)
     worst = max(abs(q_exp_approx(float(x)) - q(float(x))) for x in grid)
-    return [
-        _quantitative(
-            "q_surrogate_max_abs_error", worst, 0.0, 5e-3,
-            "4001-point grid on [0, 4]",
-        )
-    ]
+    return [_Row(worst, 0.0, 5e-3, "4001-point grid on [0, 4]")]
 
 
-def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
+@_check("pd_capacity_bisect_vs_scan")
+def _solver_agreement_check(config: ScenarioConfig) -> list[_Row]:
     rng = substream(config.seed, TAG_SCENARIOS, 0)
     mismatches = 0
     worst = 0
@@ -375,14 +396,12 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[CheckResult]:
         if fast != slow:
             mismatches += 1
     return [
-        _quantitative(
-            "pd_capacity_bisect_vs_scan", float(mismatches), 0.0, 0.0,
-            f"50 random scenarios, worst gap {worst} UAVs",
-        )
+        _Row(float(mismatches), 0.0, 0.0, f"50 random scenarios, worst gap {worst} UAVs")
     ]
 
 
-def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
+@_check("surrogate_capacity_gap")
+def _surrogate_capacity_check(config: ScenarioConfig) -> list[_Row]:
     # The grid is a neighborhood of the reference point, so radius_ratio is
     # pinned to its default (the class attribute) like the other swept keys.
     # A larger ratio shrinks the inner radius and lifts the capacity into the
@@ -412,15 +431,16 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[CheckResult]:
                     worst_expanded = max(worst_expanded, abs(expanded - exact))
                     worst_fixed = max(worst_fixed, abs(fixed - exact))
     return [
-        _quantitative(
-            "surrogate_capacity_gap", float(worst_expanded), 0.0, 1.0,
+        _Row(
+            float(worst_expanded), 0.0, 1.0,
             f"reference neighborhood grid; fixed-variant gap {worst_fixed} UAVs "
             "(measured only, no bound)",
         )
     ]
 
 
-def _capacity_radius_monotone(config: ScenarioConfig) -> list[CheckResult]:
+@_check("capacity_radius_monotone")
+def _capacity_radius_monotone(config: ScenarioConfig) -> list[_Row]:
     import numpy as np
 
     # Capacity never increases with radius, at several power levels.
@@ -443,8 +463,8 @@ def _capacity_radius_monotone(config: ScenarioConfig) -> list[CheckResult]:
                 )
             previous = caps
     return [
-        _quantitative(
-            "capacity_radius_monotone", float(worst_jump), 0.0, 0.0,
+        _Row(
+            float(worst_jump), 0.0, 0.0,
             "largest capacity increase along growing radius; 0 = monotone",
         )
     ]
@@ -466,7 +486,8 @@ def _origin_fit_dev(caps: list[int]) -> float:
     return float(np.max(np.abs(ys - slope * xs)))
 
 
-def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[CheckResult]:
+@_check("snr_capacity_frames_proportional")
+def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[_Row]:
     caps = [
         capacity_under_snr(replace(config, frames=f).query()).max_uavs
         for f in _TREND_FRAMES
@@ -474,38 +495,36 @@ def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[CheckResul
     # One UAV of slack, plus two float spacings: past 2**53 UAVs adjacent
     # floats are more than one apart, and the fit is computed in floats.
     return [
-        _quantitative(
-            "snr_capacity_frames_proportional", _origin_fit_dev(caps), 0.0,
+        _Row(
+            _origin_fit_dev(caps), 0.0,
             1.0 + 2.0 * math.ulp(max(caps)),
             "max deviation from the through-origin fit, frames 1..10",
         )
     ]
 
 
-def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[CheckResult]:
+@_check("pd_capacity_frames_monotone")
+def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[_Row]:
     caps = [
         capacity_under_pd_bisect(replace(config, frames=f).query()).max_uavs
         for f in _TREND_FRAMES
     ]
     dev = _origin_fit_dev(caps)
     return [
-        CheckResult(
-            "pd_capacity_frames_monotone",
-            _verdict(all(b >= a for a, b in zip(caps, caps[1:]))),
+        _Row(
             dev,
-            None,
-            None,
-            "monotone non-decreasing asserted; deviation from "
+            detail="monotone non-decreasing asserted; deviation from "
             f"proportionality measured at {dev:.3g} UAVs (concave trend)",
+            ok=all(b >= a for a, b in zip(caps, caps[1:])),
         )
     ]
 
 
-def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
+@_check("joint_pd_slow_then_sharp")
+def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[_Row]:
     # Joint PD vs count: flat near 1, then a sharp drop up to the first
     # count below the floor (the crossing, from the exact solver). It is
     # read at multiples of step up to there: at most 60 counts.
-    name = "joint_pd_slow_then_sharp"
     query = replace(config.query(), surrogate_mode="exact")
     crossing = capacity_under_pd_bisect(query).max_uavs + 1
     step = -(-crossing // 60)
@@ -517,11 +536,11 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
     if len(pds) < 3:
         # Fewer than three counts up to the crossing: no second difference.
         return [
-            CheckResult(
-                name, "pass",
+            _Row(
                 detail=f"joint PD is below the floor from count {crossing} on: "
                 "too few counts before the crossing for a second difference "
                 "(vacuous pass)",
+                ok=True,
             )
         ]
     bend = [pds[i + 1] - 2.0 * pds[i] + pds[i - 1] for i in range(1, len(pds) - 1)]
@@ -551,16 +570,17 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[CheckResult]:
         "-ln(joint PD) second differences >= 0")
     unbounded = "; one second difference, so no sharpness bound" if single else ""
     return [
-        CheckResult(
-            name, _verdict(convex and sharp and slow),
-            min(bend), None, None,
-            f"{shape}{grid} up to the crossing at {crossing}; "
+        _Row(
+            min(bend),
+            detail=f"{shape}{grid} up to the crossing at {crossing}; "
             f"joint PD still {half:.4f} at half the crossing count{unbounded}",
+            ok=convex and sharp and slow,
         )
     ]
 
 
-def _beamforming_check(config: ScenarioConfig) -> list[CheckResult]:
+@_check("beamforming_gain_k1", "beamforming_gain_k4")
+def _beamforming_check(config: ScenarioConfig) -> list[_Row]:
     # A matched pair gives amplitude / sqrt(K) for any array, so these rows
     # stay only because perfbench/golden.json lists them; ROADMAP item 6
     # deletes them together with that list. a is the unit-norm response of
@@ -572,59 +592,29 @@ def _beamforming_check(config: ScenarioConfig) -> list[CheckResult]:
     elev = np.exp(phase * (math.sin(azimuth) * math.sin(elevation)) * np.arange(16))
     azim = np.exp(phase * (math.sin(azimuth) * math.cos(elevation)) * np.arange(24))
     a = np.kron(elev / math.sqrt(16), azim / math.sqrt(24))
-    results = []
+    rows = []
     for k in (1, 4):
         gain = complex(beta * (a.conj() @ a) * (a.conj() @ (a / math.sqrt(k))))
         expected = beta / math.sqrt(k)
-        results.append(
-            _quantitative(
-                f"beamforming_gain_k{k}",
+        rows.append(
+            _Row(
                 abs(gain - expected) / expected,
                 0.0,
                 1e-12,
                 "matched combiner/precoder collapses to amplitude / sqrt(K)",
             )
         )
-    return results
-
-
-# Check groups in report order.
-_CHECK_GROUPS = (
-    _density_checks,
-    _sampler_checks,
-    _snr_checks,
-    _detection_checks,
-    _integration_checks,
-    _q_approx_check,
-    _solver_agreement_check,
-    _surrogate_capacity_check,
-    _capacity_radius_monotone,
-    _snr_capacity_frames_proportional,
-    _pd_capacity_frames_monotone,
-    _joint_pd_slow_then_sharp,
-    _beamforming_check,
-)
+    return rows
 
 
 def run_validation(config: ScenarioConfig) -> list[CheckResult]:
-    """Run every cross-check under one scenario; order is fixed.
+    """Run every registered check group under one scenario, in report order.
 
-    A group that raises (say, a config whose geometry overflows a float)
-    becomes one ``fail`` row named after the group, with the exception as
-    its detail, and the remaining groups still run.
+    Every input gets the same rows: a group that raises (say, a config
+    whose geometry overflows a float) fails each of its named rows, with
+    the exception as detail, and the remaining groups still run.
     """
-    results: list[CheckResult] = []
-    for group in _CHECK_GROUPS:
-        try:
-            results.extend(group(config))
-        except Exception as exc:
-            results.append(
-                CheckResult(
-                    group.__name__.lstrip("_"), "fail",
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return results
+    return [result for group in _CHECK_GROUPS for result in group(config)]
 
 
 def render_validation_csv(

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import resource
 import subprocess
@@ -218,30 +219,81 @@ def test_a_grid_too_large_to_build_exits_2_before_building_it(
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "override, error",
-    [("radius_ratio=1e200", "OverflowError"), ("radius_km=1e-200", "ZeroDivisionError")],
-)
-def test_validate_reports_a_raising_group_as_a_fail_row(
-    override: str, error: str, capsys: pytest.CaptureFixture[str]
-) -> None:
-    code = main(["validate", "--trials", "1000", "--set", override])
+# The row names the check registry declares, in report order.
+REGISTERED = [name for group in uavcap.validation._CHECK_GROUPS for name in group.names]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def _validate_table(argv: list[str], capsys: pytest.CaptureFixture[str]):
+    code = main(["validate", *argv])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     table = list(csv.reader(line for line in lines if not line.startswith("#")))
-    rows = {row[0]: row for row in table[1:]}
+    return code, captured.err, table
+
+
+DENSITY = uavcap.validation._density_checks
+SAMPLER = uavcap.validation._sampler_checks
+MEAN_SNR = uavcap.validation._snr_checks
+
+
+# Each repro overflows the region's geometry. The groups named here raise
+# (the range sampler before it draws, the mean-SNR group from its
+# sampler's weight or its closed form) rather than report nan or inf under
+# a numpy warning. At radius_km=1e100 the sampler's R^3 = 1e300 is still
+# finite, so only the density and mean-SNR groups raise there.
+@pytest.mark.parametrize(
+    "override, error, raising",
+    [
+        ("radius_ratio=1e200", "OverflowError", (DENSITY, SAMPLER, MEAN_SNR)),
+        ("radius_km=1e-200", "ZeroDivisionError", (DENSITY, SAMPLER, MEAN_SNR)),
+        ("radius_km=1e100", "OverflowError", (DENSITY, MEAN_SNR)),
+    ],
+    ids=["radius_ratio=1e200-OverflowError", "radius_km=1e-200-ZeroDivisionError",
+         "radius_km=1e100-OverflowError"],
+)
+def test_validate_reports_a_raising_group_as_a_fail_row(
+    override: str, error: str, raising: tuple,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    code, err, table = _validate_table(["--trials", "1000", "--set", override], capsys)
     assert code == 1
-    assert rows["density_checks"][1] == "fail"
-    assert rows["density_checks"][5].startswith(f"{error}: ")
-    # The range sampler raises before it draws, and the mean-SNR group raises
-    # (from its sampler's weight or its closed form), rather than report nan
-    # or inf under a numpy warning.
-    for group in ("sampler_checks", "snr_checks"):
-        assert rows[group][1] == "fail"
-        assert rows[group][5].startswith(("ZeroDivisionError: ", "OverflowError: "))
-    assert captured.err == ""
+    assert err == ""
+    # A raising group fails each of its named rows, so all 23 rows appear.
+    assert [row[0] for row in table[1:]] == REGISTERED
+    assert len(REGISTERED) == 23
+    rows = {row[0]: row for row in table[1:]}
+    for group in raising:
+        # One exception per group, repeated as each row's detail.
+        assert len({rows[name][5] for name in group.names}) == 1
+        for name in group.names:
+            assert rows[name][1:5] == ["fail", "", "", ""]
+            assert rows[name][5].startswith(("ZeroDivisionError: ", "OverflowError: "))
+    assert all(rows[name][5].startswith(f"{error}: ") for name in DENSITY.names)
     # The groups after the one that raised still run.
     assert rows["beamforming_gain_k4"][1] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--trials", "0"],
+        ["--trials", "1"],
+        ["--trials", "1000", "--set", "radius_ratio=1e200"],
+        ["--trials", "1000", "--set", "radius_km=1e-200"],
+        ["--trials", "1000", "--set", "radius_km=1e100"],
+    ],
+    ids=["reference", "trials=0", "trials=1", "radius_ratio=1e200",
+         "radius_km=1e-200", "radius_km=1e100"],
+)
+def test_validate_row_names_do_not_depend_on_the_input(
+    argv: list[str], capsys: pytest.CaptureFixture[str]
+) -> None:
+    _, _, table = _validate_table(argv, capsys)
+    names = [row[0] for row in table[1:]]
+    assert names == REGISTERED
+    assert names == json.loads(GOLDEN.read_text(encoding="utf-8"))["validate_checks"]
 
 
 @pytest.mark.parametrize("command", ["snr-vs-uavs", "pd-vs-uavs"])

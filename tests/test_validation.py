@@ -1,7 +1,9 @@
 import csv
 import math
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +516,28 @@ def test_surrogate_capacity_gap_keeps_the_reference_radius_ratio() -> None:
     wide = _surrogate_capacity_check(parse_config("", {"radius_ratio": "1000"}))
     assert wide == reference
     assert [r.status for r in wide] == ["pass"]
+
+
+def test_readme_validate_rows_table_matches_the_registry() -> None:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### `validate` rows")[1]
+    table = [
+        [cell.strip() for cell in line.split("|")[1:-1]]
+        for line in section.split("\n## ")[0].splitlines()
+        if line.startswith("| `")
+    ]
+    documented = [(re.fullmatch(r"`(\w+)`", row[0])[1], row[1]) for row in table]
+    registered = [
+        (name, f"`{group.__name__.lstrip('_')}`")
+        for group in uavcap.validation._CHECK_GROUPS
+        for name in group.names
+    ]
+    assert documented == registered
+    # A row documented as sampled is exactly one that has nothing to test
+    # without trials.
+    no_trials = {
+        r.name for r in run_validation(parse_config("", {"trials": "0"}))
+        if r.detail == "inconclusive: trials = 0"
+    }
+    assert {name for (name, _), row in zip(documented, table) if row[2] == "sampled"} == no_trials
+    assert {row[2] for row in table} == {"deterministic bound", "sampled", "qualitative"}
