@@ -148,16 +148,18 @@ def _reduce_mean(
     The variance is formed in one pass, as sum of squares less n mean^2,
     which cancels when values sit far from zero against their spread; a
     kernel keeps it by summing its values less a shift near their mean.
+    A spread under 64 ulps of the sum of squares is lost to rounding (mean
+    SNR within 4e-7 of radius ratio 1), so the interval is unbounded, not 0.
     """
     n = plan.trials
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / n
-    if n > 1:
-        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        half = scale * confidence_z(plan.confidence) * math.sqrt(variance / n)
+    spread = total_sq - n * mean * mean
+    if n > 1 and spread > 64.0 * math.ulp(total_sq):
+        half = scale * confidence_z(plan.confidence) * math.sqrt(spread / (n - 1) / n)
     else:
-        # One trial gives no spread estimate, so the interval is unbounded.
+        # One trial, or a spread lost to rounding, gives no spread estimate.
         half = math.inf
     return EmpiricalEstimate(mean=scale * (shift + mean), half_width=half, trials=n)
 

@@ -3,7 +3,9 @@
 Each check pairs an analytic quantity with an oracle that does not share
 its derivation: quadrature for densities and moments, Kolmogorov-Smirnov
 tests for the sampler, Monte Carlo for SNR/detection/integration, linear
-scan for the binary-search capacity, and exact Q for the surrogate.
+scan for the seeded-search capacity, and exact Q for the surrogate. The
+capacity trend rows read the capacity-vs-radius and capacity-vs-frames
+sweeps, the rows the CLI prints, at their default grids.
 
 Each check group is registered by ``@_check``, which names its rows once,
 in report order. A group returns one ``_Row`` per name, and ``_result``
@@ -14,7 +16,10 @@ at zero trials, or a group that raises, still reports every named row.
 
 Statistical honesty rule: a Monte Carlo check whose confidence interval is
 too wide to resolve its tolerance reports ``inconclusive`` (with the
-reason) instead of pass or fail. Deterministic checks never do.
+reason) instead of pass or fail. Deterministic checks never do. The
+sampled rows test at 3 standard errors, with their estimators run at
+TrialPlan's default level: the ``confidence`` key sets only the
+snr-vs-uavs half-width column.
 """
 
 from __future__ import annotations
@@ -24,12 +29,7 @@ import math
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, NamedTuple
 
-from .capacity import (
-    capacity_under_pd_bisect,
-    capacity_under_pd_scan,
-    capacity_under_snr,
-    mean_snr_at,
-)
+from .capacity import capacity_under_pd_bisect, capacity_under_pd_scan, mean_snr_at
 from .config import ScenarioConfig, render_csv
 from .detection import SURROGATE_MODES, joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
@@ -45,12 +45,14 @@ from .montecarlo import (
     EmpiricalEstimate,
     TAG_POSITIONS,
     TAG_SCENARIOS,
+    TrialPlan,
     confidence_z,
     mc_detection_rates,
     mc_integration_energy,
     mc_mean_snr,
     substream,
 )
+from .sweeps import run_sweep
 
 STATUSES = ("pass", "fail", "inconclusive")
 
@@ -246,11 +248,11 @@ def _halfwidth_db(estimate: EmpiricalEstimate) -> float:
 @_check("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap", sampled=True)
 def _snr_checks(config: ScenarioConfig) -> list[_Row]:
     link, region = config.link(), config.region()
-    estimate = mc_mean_snr(link, region, config.plan())
+    estimate = mc_mean_snr(link, region, TrialPlan(config.trials, config.seed))
     hw_db = _halfwidth_db(estimate)
     # Tolerance: 3 standard errors, like the detection and energy rows; a CI
     # so wide that even a 2x defect could hide is inconclusive.
-    tol_db = 3.0 * hw_db / confidence_z(config.confidence)
+    tol_db = 3.0 * hw_db / confidence_z(TrialPlan.confidence)
     too_wide = not math.isfinite(hw_db) or tol_db > 3.0
     mc_db = linear_to_db(estimate.mean) if estimate.mean > 0.0 else math.nan
     closed_db = linear_to_db(mean_single_uav_snr(link, region, "normalized"))
@@ -276,7 +278,7 @@ def _detection_checks(config: ScenarioConfig) -> list[_Row]:
     xi = q_inv(config.pfa)
     snr = (xi - q_inv(0.9)) ** 2 / 2.0
     pd_est, pfa_est = mc_detection_rates(
-        snr, config.pfa, config.cpi_symbols, config.plan()
+        snr, config.pfa, config.cpi_symbols, TrialPlan(config.trials, config.seed)
     )
     rows = []
     for estimate, expected in ((pd_est, pd_single(snr, config.pfa)), (pfa_est, config.pfa)):
@@ -305,13 +307,13 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
 
     base = config.link()
     amplitude = math.sqrt(path_gain_squared(base, config.radius_km))
-    z = confidence_z(config.confidence)
+    plan, z = TrialPlan(config.trials, config.seed), confidence_z(TrialPlan.confidence)
     rows = []
     # (N, energy-derived SNR, its standard error) per symbol count.
     snr_points: list[tuple[int, float, float]] = []
     for n in _ENERGY_COUNTS:
         link = replace(base, cpi_symbols=n)
-        est = mc_integration_energy(link, amplitude, config.plan(), salt=n)
+        est = mc_integration_energy(link, amplitude, plan, salt=n)
         signal = link.gain_amplitude * math.sqrt(
             link.tx_power_mw / link.uavs_per_symbol
         ) * amplitude
@@ -375,8 +377,9 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[_Row]:
     rng = substream(config.seed, TAG_SCENARIOS, 0)
     mismatches = 0
     worst = 0
+    capped = 0
     for _ in range(50):
-        u = rng.random(8)
+        u = rng.random(8).tolist()  # Python floats raise where numpy scalars warn
         scenario = replace(
             config,
             radius_km=0.5 + 1.5 * u[0],
@@ -391,13 +394,16 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[_Row]:
         )
         query = scenario.query()
         fast = capacity_under_pd_bisect(query).max_uavs
-        slow = capacity_under_pd_scan(query).max_uavs
-        worst = max(worst, abs(fast - slow))
-        if fast != slow:
-            mismatches += 1
-    return [
-        _Row(float(mismatches), 0.0, 0.0, f"50 random scenarios, worst gap {worst} UAVs")
-    ]
+        scan = capacity_under_pd_scan(query)
+        # A scan stopped at its cap is a lower bound: only a smaller result misses it.
+        capped += scan.cap_reached
+        gap = scan.max_uavs - fast if scan.cap_reached else abs(fast - scan.max_uavs)
+        worst = max(worst, gap)
+        mismatches += gap > 0
+    detail = f"50 random scenarios, worst gap {worst} UAVs"
+    if capped:
+        detail += f"; {capped} capped scans read as lower bounds"
+    return [_Row(float(mismatches), 0.0, 0.0, detail)]
 
 
 @_check("surrogate_capacity_gap")
@@ -439,29 +445,28 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[_Row]:
     ]
 
 
+def _sweep_columns(kind: str, config: ScenarioConfig, *columns: str) -> list[list]:
+    """The named columns of the sweep `kind` on its default grid, as the
+    CLI prints it. Raises ValueError with the first error row's text."""
+    rows = run_sweep(
+        kind, replace(config, sweep_start=None, sweep_stop=None, sweep_step=None)
+    )
+    for row in rows:
+        if row["status"] != "ok":
+            raise ValueError(f"{kind}: {row['status']}")
+    return [[row[column] for row in rows] for column in columns]
+
+
 @_check("capacity_radius_monotone")
 def _capacity_radius_monotone(config: ScenarioConfig) -> list[_Row]:
-    import numpy as np
-
     # Capacity never increases with radius, at several power levels.
     worst_jump = 0
     for power in (50.0, 54.0, 58.0):
-        previous: tuple[int, int] | None = None
-        for radius in np.arange(0.5, 2.01, 0.25):
-            query = replace(
-                config, radius_km=float(radius), tx_power_dbm=power
-            ).query()
-            caps = (
-                capacity_under_snr(query).max_uavs,
-                capacity_under_pd_bisect(query).max_uavs,
-            )
-            if previous is not None:
-                worst_jump = max(
-                    worst_jump,
-                    caps[0] - previous[0],
-                    caps[1] - previous[1],
-                )
-            previous = caps
+        for caps in _sweep_columns(
+            "capacity-vs-radius", replace(config, tx_power_dbm=power),
+            "snr_capacity", "pd_capacity",
+        ):
+            worst_jump = max(worst_jump, *(b - a for a, b in zip(caps, caps[1:])))
     return [
         _Row(
             float(worst_jump), 0.0, 0.0,
@@ -473,14 +478,11 @@ def _capacity_radius_monotone(config: ScenarioConfig) -> list[_Row]:
 # SNR-constrained capacity is proportional to the frame count; the
 # PD-constrained one is concave, so only its monotonicity is asserted and
 # its deviation from proportionality is reported.
-_TREND_FRAMES = range(1, 11)
-
-
-def _origin_fit_dev(caps: list[int]) -> float:
+def _origin_fit_dev(frames: list[int], caps: list[int]) -> float:
     """Largest deviation of capacity from its through-origin fit in frames."""
     import numpy as np
 
-    xs = np.asarray(_TREND_FRAMES, dtype=float)
+    xs = np.asarray(frames, dtype=float)
     ys = np.asarray(caps, dtype=float)
     slope = float(xs @ ys / (xs @ xs))
     return float(np.max(np.abs(ys - slope * xs)))
@@ -488,28 +490,23 @@ def _origin_fit_dev(caps: list[int]) -> float:
 
 @_check("snr_capacity_frames_proportional")
 def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[_Row]:
-    caps = [
-        capacity_under_snr(replace(config, frames=f).query()).max_uavs
-        for f in _TREND_FRAMES
-    ]
+    frames, caps = _sweep_columns("capacity-vs-frames", config, "frames", "snr_capacity")
     # One UAV of slack, plus two float spacings: past 2**53 UAVs adjacent
     # floats are more than one apart, and the fit is computed in floats.
     return [
         _Row(
-            _origin_fit_dev(caps), 0.0,
+            _origin_fit_dev(frames, caps), 0.0,
             1.0 + 2.0 * math.ulp(max(caps)),
-            "max deviation from the through-origin fit, frames 1..10",
+            "max deviation from the through-origin fit, "
+            f"frames {frames[0]}..{frames[-1]}",
         )
     ]
 
 
 @_check("pd_capacity_frames_monotone")
 def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[_Row]:
-    caps = [
-        capacity_under_pd_bisect(replace(config, frames=f).query()).max_uavs
-        for f in _TREND_FRAMES
-    ]
-    dev = _origin_fit_dev(caps)
+    frames, caps = _sweep_columns("capacity-vs-frames", config, "frames", "pd_capacity")
+    dev = _origin_fit_dev(frames, caps)
     return [
         _Row(
             dev,

@@ -430,6 +430,25 @@ def test_estimators_equal_a_chunk_at_a_time_recomputation(
 # to SVML kernels on AVX-512 hosts and to libm elsewhere, and the two round
 # apart in the last bit (the half-width read 4e-16 apart at seed 7). Another
 # salt or seed moves the mean by far more.
+@pytest.mark.parametrize(
+    "ratio, resolved", [(1 + 1e-6, True), (1 + 1e-8, False), (1 + 1e-13, False)]
+)
+def test_mean_snr_interval_is_unbounded_where_rounding_hides_the_spread(
+    reference_link: RadarLinkParams, ratio: float, resolved: bool
+) -> None:
+    # The weighted values are exp(-u ln ratio), nearly uniform on a width of
+    # ln ratio about 1: their standard deviation is ln ratio / sqrt(12) of
+    # the mean. At 1 + 1e-8 that is below the rounding of the one-pass
+    # variance, which once came out as 0 or as several times the truth.
+    trials = 20_000
+    est = mc_mean_snr(reference_link, SensingRegion(1.0, ratio, 0.6), TrialPlan(trials, 7))
+    if resolved:
+        expected = confidence_z(0.99) * est.mean * math.log(ratio) / math.sqrt(12 * trials)
+        assert est.half_width == pytest.approx(expected, rel=0.05)
+    else:
+        assert est.half_width == math.inf
+
+
 MEAN_SNR_PINS = [
     (424242, 76.61166732879248, 1.2589110338946534),
     (7, 77.33661762869016, 1.2650302884318307),

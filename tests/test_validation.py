@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 import uavcap.link
+import uavcap.sweeps
 import uavcap.validation
 from uavcap.cli import main
 from uavcap.config import parse_config
@@ -24,6 +25,7 @@ from uavcap.validation import (
     _integration_checks,
     _joint_pd_slow_then_sharp,
     _sampler_checks,
+    _solver_agreement_check,
     _snr_capacity_frames_proportional,
     _snr_checks,
     _surrogate_capacity_check,
@@ -384,7 +386,7 @@ def test_snr_proportionality_still_fails_a_two_uav_shift(
     config = parse_config("")
     [row] = _snr_capacity_frames_proportional(config)
     assert (row.status, row.measured, f"{row.tolerance:.10g}") == ("pass", 0.0, "1")
-    real = uavcap.validation.capacity_under_snr
+    real = uavcap.sweeps.capacity_under_snr
     shifted_symbols = 5 * config.symbols_per_frame
 
     def shifted(query):
@@ -393,10 +395,43 @@ def test_snr_proportionality_still_fails_a_two_uav_shift(
             return replace(result, max_uavs=result.max_uavs + 2)
         return result
 
-    monkeypatch.setattr(uavcap.validation, "capacity_under_snr", shifted)
+    monkeypatch.setattr(uavcap.sweeps, "capacity_under_snr", shifted)
     [row] = _snr_capacity_frames_proportional(config)
     assert row.status == "fail"
     assert row.measured > 1.8
+
+
+def test_frame_trend_rows_read_the_capacity_vs_frames_sweep(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A sweep row that ignores its point solves every frame count at one
+    # frame: the printed capacities stop growing with the frames column.
+    real = uavcap.sweeps._capacity_row
+
+    def ignores_point(kind, config, value):
+        return {**real(kind, config, 1.0), "frames": int(value)}
+
+    config = parse_config("")
+    [row] = _snr_capacity_frames_proportional(config)
+    assert row.status == "pass" and row.detail.endswith(", frames 1..10")
+    monkeypatch.setattr(uavcap.sweeps, "_capacity_row", ignores_point)
+    [row] = _snr_capacity_frames_proportional(config)
+    assert row.status == "fail"
+
+
+def test_trend_rows_read_the_default_grids_and_name_a_sweep_error() -> None:
+    # The sweep_* keys move the CLI's grids, not the trend rows'.
+    trend = {"capacity_radius_monotone", "snr_capacity_frames_proportional",
+             "pd_capacity_frames_monotone"}
+    rows = lambda overrides: [
+        r for r in run_validation(parse_config("", {"trials": "0", **overrides}))
+        if r.name in trend
+    ]
+    assert rows({"sweep_start": "3", "sweep_step": "0.5"}) == rows({})
+    broken = rows({"radius_ratio": "1e200"})
+    assert [r.status for r in broken] == ["fail"] * 3
+    assert broken[0].detail.startswith("ValueError: capacity-vs-radius: error: ")
+    assert broken[1].detail.startswith("ValueError: capacity-vs-frames: error: ")
 
 
 def _slope_row(config) -> CheckResult:
@@ -506,6 +541,83 @@ def test_sampler_checks_that_cannot_fail_are_inconclusive(
     assert len(rows) == 3
     assert all((r.status == "inconclusive") == inconclusive for r in rows)
     assert all((r.tolerance >= 1.0) == inconclusive for r in rows)
+
+
+def _capped_scan(cap: int):
+    real = uavcap.validation.capacity_under_pd_scan
+    return lambda query: real(query, cap)
+
+
+def test_solver_agreement_reads_a_capped_scan_as_a_lower_bound(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # At `--set combined_gain_db=300` every scan stopped at its 1e6 cap and
+    # each bisection result above it counted as a mismatch: 50 of 50. Here
+    # a cap of 100 stops the scan on 15 of the 50 reference scenarios.
+    config = parse_config("")
+    [row] = _solver_agreement_check(config)
+    assert row.detail == "50 random scenarios, worst gap 0 UAVs"
+    monkeypatch.setattr(uavcap.validation, "capacity_under_pd_scan", _capped_scan(100))
+    [row] = _solver_agreement_check(config)
+    assert (row.status, row.measured) == ("pass", 0.0)
+    assert row.detail.endswith("; 15 capped scans read as lower bounds")
+
+
+def test_solver_agreement_still_fails_a_bisection_below_a_capped_scan(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    real = uavcap.validation.capacity_under_pd_bisect
+    monkeypatch.setattr(uavcap.validation, "capacity_under_pd_scan", _capped_scan(100))
+    monkeypatch.setattr(
+        uavcap.validation, "capacity_under_pd_bisect",
+        lambda query: replace(real(query), max_uavs=min(real(query).max_uavs, 99)),
+    )
+    [row] = _solver_agreement_check(parse_config(""))
+    assert (row.status, row.measured) == ("fail", 15.0)
+    assert "worst gap 1 UAVs" in row.detail
+
+
+def test_solver_agreement_draws_python_floats() -> None:
+    # numpy scalars once carried a divide by zero into the solvers as inf,
+    # with a RuntimeWarning on stderr; Python floats raise instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [row] = _solver_agreement_check(parse_config("", {"carrier_freq_mhz": "1e-300"}))
+    assert row.status == "fail"
+    assert row.detail.startswith("ZeroDivisionError: ")
+
+
+SAMPLED_SE_ROWS = (
+    "mean_snr_mc_vs_closed_form", "mean_snr_mode_gap", "integration_energy_n1",
+    "integration_energy_n3", "integration_energy_n8", "integration_snr_slope",
+)
+
+
+@pytest.mark.parametrize("confidence", ["1e-17", "1e-16", "0.5", "0.999"])
+def test_confidence_does_not_move_the_sampled_rows(confidence: str) -> None:
+    # At 1e-17 the level's z is 0, and the rows once divided by it; at
+    # 1e-16 the mean-SNR rows once failed at a tolerance of 0.
+    rows = lambda overrides: [
+        r for r in run_validation(parse_config("", {"trials": "2000", **overrides}))
+        if r.name in SAMPLED_SE_ROWS
+    ]
+    assert rows({"confidence": confidence}) == rows({})
+
+
+@pytest.mark.parametrize(
+    "ratio, seed",
+    [("1.0000000000001", str(seed)) for seed in range(1, 7)]
+    + [("1.000000000001", "3"), ("1.000000000001", "5"), ("1.0000000000000002", "7"),
+       ("1.00000001", "7")],
+)
+def test_mean_snr_rows_do_not_fail_where_rounding_hides_the_spread(
+    ratio: str, seed: str
+) -> None:
+    # Within about 4e-7 of ratio 1 the one-pass variance of the unshifted
+    # mean-SNR values is lost to cancellation, once clamped to a tolerance
+    # of 0; the interval is unbounded instead.
+    rows = _snr_checks(parse_config("", {"radius_ratio": ratio, "seed": seed, "trials": "2000"}))
+    assert [(r.status, r.tolerance) for r in rows] == [("inconclusive", math.inf)] * 2
 
 
 def test_surrogate_capacity_gap_keeps_the_reference_radius_ratio() -> None:
