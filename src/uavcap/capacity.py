@@ -7,7 +7,8 @@ objective L * ln Q(xi - sqrt(rho/L)) is monotone decreasing in L, and the
 capacity is found either by a search seeded from a closed-form estimate
 (on the exact objective or on the surrogate alone) or by a brute-force
 linear scan of the exact objective; the two must agree, which the
-validation suite checks on random scenarios.
+validation suite checks on random scenarios. Each solver hands the result
+check the verdicts it read at the answer and the next count.
 """
 
 from __future__ import annotations
@@ -98,21 +99,22 @@ def _make_result(
     query: CapacityQuery,
     mean_snr_one: float,
     max_uavs: int,
-    satisfied: Callable[[int], bool],
-    cap_reached: bool = False,
+    holds_at: bool,
+    holds_past: bool | None,
 ) -> CapacityResult:
+    """The result at max_uavs, checked against the solver's verdicts there
+    (holds_at, unread and unchecked at 0) and at max_uavs + 1 (holds_past,
+    None where a scan stopped at its cap without reading it)."""
     at = max(max_uavs, 1)
     result = CapacityResult(
         max_uavs=max_uavs,
         achieved_snr=mean_snr_one / at,
         achieved_joint_pd=joint_pd(mean_snr_one / at, at, query.spec.pfa),
-        cap_reached=cap_reached,
+        cap_reached=holds_past is None,
     )
-    # Embedded post-hoc check: constraint holds at max_uavs, fails at
-    # max_uavs + 1 (skipped past a scan cap, where no violation was seen).
-    if max_uavs >= 1 and not satisfied(max_uavs):
+    if max_uavs >= 1 and not holds_at:
         raise RuntimeError(f"internal error: constraint violated at {max_uavs}")
-    if not cap_reached and satisfied(max_uavs + 1):
+    if holds_past:
         raise RuntimeError(
             f"internal error: constraint still satisfied at {max_uavs + 1}"
         )
@@ -135,44 +137,38 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
 
     # The float floor of the bound is off by at most one below 2**53 UAVs
     # and by up to half a float spacing above.
-    max_uavs = _largest(satisfied, math.floor(mean_one / floor))
-    return _make_result(query, mean_one, max_uavs, satisfied)
+    return _make_result(
+        query, mean_one, *_largest(satisfied, math.floor(mean_one / floor))
+    )
 
 
-def _largest(holds: Callable[[int], bool], guess: int) -> int:
+def _largest(holds: Callable[[int], bool], guess: int) -> tuple[int, bool, bool]:
     """Largest count >= 1 satisfying a monotone predicate, or 0 if none.
 
     Walks from guess >= 0 in doubling steps, down while the low end fails
     and up while the high end holds, to a bracket (low holds or is 0, high
-    fails), then bisects it. The search has no cap: it ends wherever the
-    predicate does, and costs O(log |answer - guess|) evaluations.
+    fails), then bisects it, reading no count twice. The search has no cap:
+    it ends wherever the predicate does, and costs O(log |answer - guess|)
+    evaluations. Returns the answer and the verdicts read at it (True at
+    0, never read) and at the next count.
     """
     low, high, step = guess, guess + 1, 1
-    while low >= 1 and not holds(low):
-        low, high, step = max(low - step, 0), low, 2 * step
-    while holds(high):
-        low, high, step = high, high + step, 2 * step
-    return max_satisfying(holds, low, high)
-
-
-def max_satisfying(
-    predicate: Callable[[int], bool], low: int, high: int
-) -> int:
-    """Largest integer in [low, high) satisfying a monotone predicate.
-
-    Trusts predicate(low) == True and predicate(high) == False; performs
-    pure bisection, ceil(log2(high - low)) predicate evaluations, one per
-    halving.
-    """
-    if not low < high:
-        raise ValueError(f"need low < high, got [{low}, {high})")
+    low_ok = low < 1 or holds(low)
+    # A failing low is walked down at least once, which replaces high.
+    high_ok = low_ok and holds(high)
+    while not low_ok:
+        low, high, high_ok, step = max(low - step, 0), low, low_ok, 2 * step
+        low_ok = low < 1 or holds(low)
+    while high_ok:
+        low, low_ok, high, step = high, high_ok, high + step, 2 * step
+        high_ok = holds(high)
     while high - low > 1:
         mid = (low + high) // 2
-        if predicate(mid):
-            low = mid
+        if holds(mid):
+            low, low_ok = mid, True
         else:
-            high = mid
-    return low
+            high, high_ok = mid, False
+    return low, low_ok, high_ok
 
 
 def _pd_guess(
@@ -210,11 +206,11 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
     """Largest L with ln(joint PD) >= ln(pd_threshold), by a seeded search.
 
     The exact objective is L * ln PD of one target, in the log domain; a
-    surrogate mode searches on the surrogate alone, and if that leaves its
-    window (in practice at the answer or the next count) the exact search
-    runs instead, flagged surrogate_out_of_window. The search starts at
-    _pd_guess and needs no cap: with pfa > 0, L * ln PD falls without bound
-    as L grows, so a violating count exists.
+    surrogate mode searches on the surrogate alone, and if any count it
+    probes leaves the window (below the answer or above it) the exact
+    search runs instead, flagged surrogate_out_of_window. The search starts
+    at _pd_guess and needs no cap: with pfa > 0, L * ln PD falls without
+    bound as L grows, so a violating count exists.
     """
     mean_one = mean_snr_at(query, 1)
     xi = q_inv(query.spec.pfa)
@@ -228,16 +224,16 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
 
         guess = _pd_guess(mean_one, xi, floor, surrogate_miss_inv(xi, mode))
         try:
-            best = _largest(surrogate_holds, guess)
-            return _make_result(query, mean_one, best, surrogate_holds)
+            return _make_result(query, mean_one, *_largest(surrogate_holds, guess))
         except SurrogateDomainError:
             pass
 
     def holds(num_uavs: int) -> bool:
         return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
-    best = _largest(holds, _pd_guess(mean_one, xi, floor))
-    result = _make_result(query, mean_one, best, holds)
+    result = _make_result(
+        query, mean_one, *_largest(holds, _pd_guess(mean_one, xi, floor))
+    )
     return result if mode == "exact" else replace(result, surrogate_out_of_window=True)
 
 
@@ -248,20 +244,16 @@ def capacity_under_pd_scan(
 
     Ignores the surrogate mode: this is the brute-force route used to
     validate the seeded search. Stops at the iteration cap and marks the
-    result cap_reached (max_uavs is then only a lower bound).
+    result cap_reached (max_uavs is then only a lower bound). The result
+    check reads the loop's verdicts: every count below the first failing
+    one held.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     mean_one = mean_snr_at(query, 1)
     floor = _log_pd_floor(query.spec)
     xi = q_inv(query.spec.pfa)
-
-    def holds(num_uavs: int) -> bool:
-        return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
-
-    # The objective is written out in the loop, not called through holds,
-    # to save a Python frame per count; holds serves the post-hoc check.
     for num in range(1, cap + 1):
         if not num * log_pd_single(mean_one / num, xi) >= floor:
-            return _make_result(query, mean_one, num - 1, holds)
-    return _make_result(query, mean_one, cap, holds, cap_reached=True)
+            return _make_result(query, mean_one, num - 1, True, False)
+    return _make_result(query, mean_one, cap, True, None)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -14,7 +14,6 @@ from uavcap.capacity import (
     capacity_under_pd_bisect,
     capacity_under_pd_scan,
     capacity_under_snr,
-    max_satisfying,
     mean_snr_at,
 )
 from uavcap.config import parse_config
@@ -225,37 +224,67 @@ def test_scan_cap_reports_lower_bound() -> None:
         capacity_under_pd_scan(_query(), cap=0)
 
 
-def _recorded_counts(monkeypatch, **scan_args: object) -> tuple[list[int], int]:
-    # The counts whose objective the scan evaluates, in call order.
-    query = _query()
+def _record_probes(monkeypatch, query: CapacityQuery) -> list[tuple[str, int]]:
+    # The (objective, count) pairs the query's solves evaluate, in call
+    # order: "exact" for L * ln PD, the surrogate's mode for the surrogate.
     mean_one = mean_snr_at(query, 1)
-    snrs = []
-    real = capacity.log_pd_single
+    probes = []
+    exact, surrogate = capacity.log_pd_single, capacity.log_joint_pd_surrogate
 
-    def recording(snr: float, xi: float) -> float:
-        snrs.append(snr)
-        return real(snr, xi)
+    def exact_at(snr: float, xi: float) -> float:
+        count = round(mean_one / snr)
+        assert snr == mean_one / count
+        probes.append(("exact", count))
+        return exact(snr, xi)
 
-    monkeypatch.setattr(capacity, "log_pd_single", recording)
-    result = capacity_under_pd_scan(query, **scan_args)
-    counts = [round(mean_one / snr) for snr in snrs]
-    assert snrs == [mean_one / count for count in counts]
-    return counts, result.max_uavs
+    def surrogate_at(rho: float, xi: float, num_uavs: int, mode: str) -> float:
+        probes.append((mode, num_uavs))
+        return surrogate(rho, xi, num_uavs, mode)
+
+    monkeypatch.setattr(capacity, "log_pd_single", exact_at)
+    monkeypatch.setattr(capacity, "log_joint_pd_surrogate", surrogate_at)
+    return probes
 
 
 def test_scan_evaluates_every_count_in_order(monkeypatch) -> None:
     # The scan is the bisection's oracle, so it must stay exhaustive: every
-    # count from 1 up to the first failing one, then the post-hoc pair.
-    counts, best = _recorded_counts(monkeypatch)
+    # count from 1 up to the first failing one, and nothing more (the result
+    # check reads the loop's verdicts).
+    probes = _record_probes(monkeypatch, _query())
+    best = capacity_under_pd_scan(_query()).max_uavs
     assert best == PD_CAPACITY_NORMALIZED
-    assert counts == [*range(1, best + 2), best, best + 1]
+    assert probes == [("exact", count) for count in range(1, best + 2)]
 
 
 def test_scan_at_its_cap_evaluates_exactly_the_counts_below_it(monkeypatch) -> None:
-    counts, best = _recorded_counts(monkeypatch, cap=5)
-    assert best == 5
-    # The loop reads 1..5; the post-hoc check re-reads 5 and skips 6.
-    assert counts == [1, 2, 3, 4, 5, 5]
+    probes = _record_probes(monkeypatch, _query())
+    assert capacity_under_pd_scan(_query(), cap=5).max_uavs == 5
+    # The loop reads 1..5 and stops; 6 is never read.
+    assert probes == [("exact", count) for count in range(1, 6)]
+
+
+def test_reference_solves_read_the_answer_and_the_next_count_once(
+    monkeypatch,
+) -> None:
+    # At the reference each seed lands on the answer, so the search reads
+    # the answer and the next count, and the result check reuses both
+    # verdicts.
+    probes = _record_probes(monkeypatch, _query())
+    assert capacity_under_pd_bisect(_query()).max_uavs == PD_CAPACITY_NORMALIZED
+    assert probes == [("exact", 33), ("exact", 34)]
+    reads = []
+    real = capacity._largest
+
+    def reading(holds, guess: int) -> tuple[int, bool, bool]:
+        def read(count: int) -> bool:
+            reads.append(count)
+            return holds(count)
+
+        return real(read, guess)
+
+    monkeypatch.setattr(capacity, "_largest", reading)
+    assert capacity_under_snr(_query()).max_uavs == SNR_CAPACITY_NORMALIZED
+    assert reads == [18, 19]
 
 
 def test_surrogate_modes_solve_and_land_near_exact() -> None:
@@ -291,7 +320,7 @@ def test_surrogate_out_of_window_solves_exactly_and_is_flagged() -> None:
 @pytest.mark.parametrize("mode", ["expanded", "fixed"])
 def test_surrogate_solve_starts_at_its_own_crossing(mode, monkeypatch) -> None:
     # The seed is the surrogate's exact crossing, so the search needs at
-    # most two evaluations and the post-hoc check two more.
+    # most two evaluations, and the result check reuses their verdicts.
     calls = 0
     real = capacity.log_joint_pd_surrogate
 
@@ -303,24 +332,25 @@ def test_surrogate_solve_starts_at_its_own_crossing(mode, monkeypatch) -> None:
     monkeypatch.setattr(capacity, "log_joint_pd_surrogate", counting)
     result = capacity_under_pd_bisect(_query(surrogate_mode=mode))
     assert not result.surrogate_out_of_window
-    assert 1 <= calls <= 4
+    assert 1 <= calls <= 2
 
 
-def test_max_satisfying_evaluation_budget() -> None:
-    calls = 0
-    crossing = 700_000
+@pytest.mark.parametrize("crossing", [0, 700_000])
+@pytest.mark.parametrize("guess", [0, 1, 2_100_000, 10**12])
+def test_largest_evaluation_budget(crossing: int, guess: int) -> None:
+    # From a guess far below or above the answer the walk doubles its step
+    # to a bracket and bisects it: at most two evaluations per bit of the
+    # distance, plus two, and never one count twice.
+    reads = []
 
     def predicate(value: int) -> bool:
-        nonlocal calls
-        calls += 1
+        reads.append(value)
         return value <= crossing
 
-    width = 2**20
-    best = max_satisfying(predicate, 1, 1 + width)
-    assert best == crossing
-    assert calls <= math.ceil(math.log2(width)) + 1
-    with pytest.raises(ValueError, match="low < high"):
-        max_satisfying(predicate, 5, 5)
+    assert capacity._largest(predicate, guess) == (crossing, True, False)
+    assert len(reads) == len(set(reads))
+    distance = max(abs(guess - crossing), 1)
+    assert len(reads) <= 2 * math.ceil(math.log2(distance)) + 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -329,9 +359,18 @@ def test_max_satisfying_evaluation_budget() -> None:
     radius_km=st.floats(0.6, 2.0),
     pd_threshold=st.floats(0.85, 0.99),
     total_symbols=st.integers(1, 42),
+    surrogate_mode=st.sampled_from(SURROGATE_MODES),
 )
+# Seeds above the answer, so the search walks down, in each mode.
+@example(48.06345228584027, 0.7126241459735495, 0.8948076446541564, 33, "exact")
+@example(55.74167769744482, 0.6441636693714105, 0.9720363469291936, 37, "expanded")
+@example(57.963489359550245, 1.285001493637867, 0.8922025508968339, 19, "fixed")
+# Out of the window at one UAV: both surrogates redo the solve exactly.
+@example(43.04964290975442, 1.5416967890022735, 0.9853168464260457, 4, "expanded")
+@example(43.04964290975442, 1.5416967890022735, 0.9853168464260457, 4, "fixed")
 def test_bisect_agrees_with_scan(
-    tx_power_dbm: float, radius_km: float, pd_threshold: float, total_symbols: int
+    tx_power_dbm: float, radius_km: float, pd_threshold: float, total_symbols: int,
+    surrogate_mode: str,
 ) -> None:
     query = _query(
         link=replace(LINK, tx_power_dbm=tx_power_dbm),
@@ -339,10 +378,22 @@ def test_bisect_agrees_with_scan(
         spec=replace(SPEC, pd_threshold=pd_threshold),
         total_symbols=total_symbols,
     )
-    assert (
-        capacity_under_pd_bisect(query).max_uavs
-        == capacity_under_pd_scan(query).max_uavs
-    )
+    solves = [
+        lambda: capacity_under_pd_bisect(query),
+        lambda: capacity_under_pd_scan(query),
+        lambda: capacity_under_pd_bisect(replace(query, surrogate_mode=surrogate_mode)),
+    ]
+    answers = []
+    with pytest.MonkeyPatch.context() as patch:
+        probes = _record_probes(patch, query)
+        for solve in solves:
+            probes.clear()
+            answers.append(solve())
+            # No solve evaluates an objective twice at one count.
+            assert len(probes) == len(set(probes)), probes
+    assert answers[0].max_uavs == answers[1].max_uavs
+    if answers[2].surrogate_out_of_window:
+        assert answers[2].max_uavs == answers[0].max_uavs
 
 
 def test_scan_and_search_share_one_floor() -> None:

@@ -241,6 +241,28 @@ def test_ks_critical_value_is_the_kolmogorov_quantile() -> None:
     assert _KS_CRITICAL == float(stats.kstwobign.isf(0.01 / 3))
 
 
+@pytest.mark.parametrize(
+    "ratio, trials, lattice, status",
+    [
+        ("1.0000000000000002", "2000", 3, "inconclusive"),
+        ("1.00000000000001", "100000", 91, "inconclusive"),
+        ("1.0000000000001", "100000", 901, "pass"),
+    ],
+)
+def test_sampler_range_row_on_a_coarse_float_lattice_is_inconclusive(
+    ratio: str, trials: str, lattice: int, status: str
+) -> None:
+    # Near radius_ratio 1 the ranges take only the floats in [R/eps, R], so
+    # the KS statistic is about 1/k whatever the sampler: the first two once
+    # failed at 0.3325 against 0.04 and 0.01013 against 0.005655. From
+    # 1+1e-13 up the row is tested as before.
+    config = parse_config("", {"radius_ratio": ratio, "trials": trials})
+    range_row, *others = _sampler_checks(config)
+    assert range_row.status == status
+    assert (f"at most {lattice} floats" in range_row.detail) == (status == "inconclusive")
+    assert [row.status for row in others] == ["pass", "pass"]
+
+
 TREND_CHECKS = (
     "capacity_radius_monotone",
     "snr_capacity_frames_proportional",
