@@ -21,7 +21,7 @@ from .detection import (
     DetectionSpec,
     SurrogateDomainError,
     SURROGATE_MODES,
-    joint_pd,
+    joint_pd_at_xi,
     log_joint_pd_surrogate,
     log_pd_single,
     q_inv,
@@ -96,29 +96,28 @@ def one_uav_link(query: CapacityQuery) -> RadarLinkParams:
 
 
 def _make_result(
-    query: CapacityQuery,
     mean_snr_one: float,
+    xi: float,
     max_uavs: int,
     holds_at: bool,
     holds_past: bool | None,
+    out_of_window: bool = False,
 ) -> CapacityResult:
     """The result at max_uavs, checked against the solver's verdicts there
     (holds_at, unread and unchecked at 0) and at max_uavs + 1 (holds_past,
-    None where a scan stopped at its cap without reading it)."""
-    at = max(max_uavs, 1)
-    result = CapacityResult(
-        max_uavs=max_uavs,
-        achieved_snr=mean_snr_one / at,
-        achieved_joint_pd=joint_pd(mean_snr_one / at, at, query.spec.pfa),
-        cap_reached=holds_past is None,
-    )
+    None where a scan stopped at its cap without reading it), and built
+    once, with xi = Q^-1(pfa) as the solver holds it."""
     if max_uavs >= 1 and not holds_at:
         raise RuntimeError(f"internal error: constraint violated at {max_uavs}")
     if holds_past:
         raise RuntimeError(
             f"internal error: constraint still satisfied at {max_uavs + 1}"
         )
-    return result
+    at = max(max_uavs, 1)
+    snr = mean_snr_one / at
+    return CapacityResult(
+        max_uavs, snr, joint_pd_at_xi(snr, at, xi), holds_past is None, out_of_window
+    )
 
 
 def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
@@ -137,9 +136,8 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
 
     # The float floor of the bound is off by at most one below 2**53 UAVs
     # and by up to half a float spacing above.
-    return _make_result(
-        query, mean_one, *_largest(satisfied, math.floor(mean_one / floor))
-    )
+    answer = _largest(satisfied, math.floor(mean_one / floor))
+    return _make_result(mean_one, q_inv(query.spec.pfa), *answer)
 
 
 def _largest(holds: Callable[[int], bool], guess: int) -> tuple[int, bool, bool]:
@@ -224,17 +222,15 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
 
         guess = _pd_guess(mean_one, xi, floor, surrogate_miss_inv(xi, mode))
         try:
-            return _make_result(query, mean_one, *_largest(surrogate_holds, guess))
+            return _make_result(mean_one, xi, *_largest(surrogate_holds, guess))
         except SurrogateDomainError:
             pass
 
     def holds(num_uavs: int) -> bool:
         return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
-    result = _make_result(
-        query, mean_one, *_largest(holds, _pd_guess(mean_one, xi, floor))
-    )
-    return result if mode == "exact" else replace(result, surrogate_out_of_window=True)
+    answer = _largest(holds, _pd_guess(mean_one, xi, floor))
+    return _make_result(mean_one, xi, *answer, out_of_window=mode != "exact")
 
 
 def capacity_under_pd_scan(
@@ -255,5 +251,5 @@ def capacity_under_pd_scan(
     xi = q_inv(query.spec.pfa)
     for num in range(1, cap + 1):
         if not num * log_pd_single(mean_one / num, xi) >= floor:
-            return _make_result(query, mean_one, num - 1, True, False)
-    return _make_result(query, mean_one, cap, True, None)
+            return _make_result(mean_one, xi, num - 1, True, False)
+    return _make_result(mean_one, xi, cap, True, None)

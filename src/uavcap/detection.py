@@ -116,7 +116,12 @@ def joint_pd(mean_snr: float, num_uavs: int, pfa: float) -> float:
     """
     if num_uavs < 1:
         raise ValueError(f"num_uavs must be >= 1, got {num_uavs}")
-    return math.exp(num_uavs * log_pd_single(mean_snr, q_inv(pfa)))
+    return joint_pd_at_xi(mean_snr, num_uavs, q_inv(pfa))
+
+
+def joint_pd_at_xi(mean_snr: float, num_uavs: int, xi: float) -> float:
+    """joint_pd for a caller that already holds xi = Q^-1(pfa) and num_uavs >= 1."""
+    return math.exp(num_uavs * log_pd_single(mean_snr, xi))
 
 
 def q_exp_approx(x: float) -> float:

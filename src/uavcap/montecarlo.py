@@ -11,7 +11,8 @@ of a longer run are the chunks of a k-chunk run. A kernel takes up to
 _BLOCK full chunks at once, one chunk per row of an array filled by one
 generator call, and reduces each row on its own; the ragged last chunk is
 a block of one row. The draws and each chunk's partial sums are the same
-as one chunk at a time.
+as one chunk at a time. The detection rates are integer counts, which sum
+exactly in any grouping, so they are counted per block instead.
 
 The estimators' `workers` parameter is ignored. It stays only because the
 benchmark (perfbench/workloads.py and perfbench/layers.py) passes it
@@ -256,17 +257,13 @@ def mc_detection_rates(
     false_alarm_at = (gamma + snr) / root
     detection_at = (gamma - snr) / root
 
-    def kernel(rng: np.random.Generator, rows: int, count: int) -> tuple[np.ndarray, ...]:
+    rng = substream(plan.master_seed, TAG_DETECTION, 0, salt)
+    detections = false_alarms = 0
+    for rows, count in _blocks(plan.trials):
         # One draw serves both hypotheses (common random numbers).
         noise = rng.standard_normal((rows, count))
-        return (
-            np.count_nonzero(noise > detection_at, axis=1),
-            np.count_nonzero(noise > false_alarm_at, axis=1),
-        )
-
-    parts = _run_chunks(plan, TAG_DETECTION, kernel, salt)
-    detections = sum(p[0] for p in parts)
-    false_alarms = sum(p[1] for p in parts)
+        detections += int(np.count_nonzero(noise > detection_at))
+        false_alarms += int(np.count_nonzero(noise > false_alarm_at))
     return _rate_estimate(detections, plan), _rate_estimate(false_alarms, plan)
 
 

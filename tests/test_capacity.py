@@ -11,6 +11,7 @@ from uavcap import capacity
 from uavcap.capacity import (
     _REL_SLACK,
     CapacityQuery,
+    CapacityResult,
     capacity_under_pd_bisect,
     capacity_under_pd_scan,
     capacity_under_snr,
@@ -179,6 +180,8 @@ def test_pd_capacity_at_vanishing_pfa_and_power() -> None:
     frames=st.integers(1, 10**9),
     surrogate_mode=st.sampled_from(SURROGATE_MODES),
 )
+# The surrogate leaves its window, and the exact solve answers 3383.
+@example(0.05, 0.95, 20.0, 10**6, "expanded")
 def test_pd_capacity_solves_across_the_accepted_domain(
     pfa: float, pd_threshold: float, tx_power_dbm: float, frames: int,
     surrogate_mode: str,
@@ -197,8 +200,25 @@ def test_pd_capacity_solves_across_the_accepted_domain(
         with pytest.raises(OverflowError):
             capacity_under_pd_bisect(query)
         return
-    result = capacity_under_pd_bisect(query)
+    built = 0
+    build = CapacityResult.__init__
+
+    def counting(self, *args: object, **kwargs: object) -> None:
+        nonlocal built
+        built += 1
+        build(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CapacityResult, "__init__", counting)
+        result = capacity_under_pd_bisect(query)
+    # A solve builds its result once, a surrogate solve that falls back too.
+    assert built == 1
     assert result.max_uavs >= 0
+    # Each solver's joint PD is joint_pd's own, bit for bit (the scan is
+    # capped: capacities in this domain run past 1e300).
+    for solved in (result, capacity_under_snr(query), capacity_under_pd_scan(query, cap=8)):
+        at = max(solved.max_uavs, 1)
+        assert solved.achieved_joint_pd == joint_pd(solved.achieved_snr, at, pfa)
     if surrogate_mode == "exact":
         assert not result.surrogate_out_of_window
     elif result.surrogate_out_of_window:
