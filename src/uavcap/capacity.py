@@ -7,8 +7,7 @@ objective L * ln Q(xi - sqrt(rho/L)) is monotone decreasing in L, and the
 capacity is found either by a search seeded from a closed-form estimate
 (on the exact objective or on the surrogate alone) or by a brute-force
 linear scan of the exact objective; the two must agree, which the
-validation suite checks on random scenarios. Each solver hands the result
-check the verdicts it read at the answer and the next count.
+validation suite checks on random scenarios.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .detection import (
 from .geometry import SensingRegion, check_density_mode
 from .link import RadarLinkParams, db_to_linear, mean_multi_uav_snr
 
-# Relative slack for post-hoc boundary checks on continuous quantities.
+# Relative slack the constraint predicates allow below their floors.
 _REL_SLACK = 1e-9
 
 
@@ -99,24 +98,15 @@ def _make_result(
     mean_snr_one: float,
     xi: float,
     max_uavs: int,
-    holds_at: bool,
-    holds_past: bool | None,
+    cap_reached: bool = False,
     out_of_window: bool = False,
 ) -> CapacityResult:
-    """The result at max_uavs, checked against the solver's verdicts there
-    (holds_at, unread and unchecked at 0) and at max_uavs + 1 (holds_past,
-    None where a scan stopped at its cap without reading it), and built
-    once, with xi = Q^-1(pfa) as the solver holds it."""
-    if max_uavs >= 1 and not holds_at:
-        raise RuntimeError(f"internal error: constraint violated at {max_uavs}")
-    if holds_past:
-        raise RuntimeError(
-            f"internal error: constraint still satisfied at {max_uavs + 1}"
-        )
+    """The result at max_uavs, built once, with xi = Q^-1(pfa) as the
+    solver holds it."""
     at = max(max_uavs, 1)
     snr = mean_snr_one / at
     return CapacityResult(
-        max_uavs, snr, joint_pd_at_xi(snr, at, xi), holds_past is None, out_of_window
+        max_uavs, snr, joint_pd_at_xi(snr, at, xi), cap_reached, out_of_window
     )
 
 
@@ -126,7 +116,7 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
     SNR_L = rho_1 / L, so max_uavs = floor(rho_1 / threshold), up to the
     relative slack the predicate allows (a budget exactly equal to the
     threshold yields 1, not 0). The answer is taken from the predicate
-    itself, so the post-hoc check agrees with it at any budget.
+    itself, so it holds, and the next count fails, at any budget.
     """
     mean_one = mean_snr_at(query, 1)
     floor = db_to_linear(query.spec.snr_threshold_db) * (1.0 - _REL_SLACK)
@@ -137,18 +127,18 @@ def capacity_under_snr(query: CapacityQuery) -> CapacityResult:
     # The float floor of the bound is off by at most one below 2**53 UAVs
     # and by up to half a float spacing above.
     answer = _largest(satisfied, math.floor(mean_one / floor))
-    return _make_result(mean_one, q_inv(query.spec.pfa), *answer)
+    return _make_result(mean_one, q_inv(query.spec.pfa), answer)
 
 
-def _largest(holds: Callable[[int], bool], guess: int) -> tuple[int, bool, bool]:
+def _largest(holds: Callable[[int], bool], guess: int) -> int:
     """Largest count >= 1 satisfying a monotone predicate, or 0 if none.
 
     Walks from guess >= 0 in doubling steps, down while the low end fails
     and up while the high end holds, to a bracket (low holds or is 0, high
     fails), then bisects it, reading no count twice. The search has no cap:
     it ends wherever the predicate does, and costs O(log |answer - guess|)
-    evaluations. Returns the answer and the verdicts read at it (True at
-    0, never read) and at the next count.
+    evaluations. The loops end only on a holding (or 0) low and a failing
+    high = low + 1, so the answer holds and the next count fails.
     """
     low, high, step = guess, guess + 1, 1
     low_ok = low < 1 or holds(low)
@@ -158,15 +148,15 @@ def _largest(holds: Callable[[int], bool], guess: int) -> tuple[int, bool, bool]
         low, high, high_ok, step = max(low - step, 0), low, low_ok, 2 * step
         low_ok = low < 1 or holds(low)
     while high_ok:
-        low, low_ok, high, step = high, high_ok, high + step, 2 * step
+        low, high, step = high, high + step, 2 * step
         high_ok = holds(high)
     while high - low > 1:
         mid = (low + high) // 2
         if holds(mid):
-            low, low_ok = mid, True
+            low = mid
         else:
-            high, high_ok = mid, False
-    return low, low_ok, high_ok
+            high = mid
+    return low
 
 
 def _pd_guess(
@@ -222,7 +212,7 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
 
         guess = _pd_guess(mean_one, xi, floor, surrogate_miss_inv(xi, mode))
         try:
-            return _make_result(mean_one, xi, *_largest(surrogate_holds, guess))
+            return _make_result(mean_one, xi, _largest(surrogate_holds, guess))
         except SurrogateDomainError:
             pass
 
@@ -230,7 +220,7 @@ def capacity_under_pd_bisect(query: CapacityQuery) -> CapacityResult:
         return num_uavs * log_pd_single(mean_one / num_uavs, xi) >= floor
 
     answer = _largest(holds, _pd_guess(mean_one, xi, floor))
-    return _make_result(mean_one, xi, *answer, out_of_window=mode != "exact")
+    return _make_result(mean_one, xi, answer, out_of_window=mode != "exact")
 
 
 def capacity_under_pd_scan(
@@ -240,9 +230,8 @@ def capacity_under_pd_scan(
 
     Ignores the surrogate mode: this is the brute-force route used to
     validate the seeded search. Stops at the iteration cap and marks the
-    result cap_reached (max_uavs is then only a lower bound). The result
-    check reads the loop's verdicts: every count below the first failing
-    one held.
+    result cap_reached (max_uavs is then only a lower bound). Every count
+    below the first failing one held, so the answer is the count before it.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -251,5 +240,5 @@ def capacity_under_pd_scan(
     xi = q_inv(query.spec.pfa)
     for num in range(1, cap + 1):
         if not num * log_pd_single(mean_one / num, xi) >= floor:
-            return _make_result(mean_one, xi, num - 1, True, False)
-    return _make_result(mean_one, xi, cap, True, None)
+            return _make_result(mean_one, xi, num - 1)
+    return _make_result(mean_one, xi, cap, cap_reached=True)

@@ -503,32 +503,27 @@ def _origin_fit_dev(frames: list[int], caps: list[int]) -> float:
     return float(np.max(np.abs(ys - slope * xs)))
 
 
-@_check("snr_capacity_frames_proportional")
-def _snr_capacity_frames_proportional(config: ScenarioConfig) -> list[_Row]:
-    frames, caps = _sweep_columns("capacity-vs-frames", config, "frames", "snr_capacity")
+@_check("snr_capacity_frames_proportional", "pd_capacity_frames_monotone")
+def _capacity_frames_checks(config: ScenarioConfig) -> list[_Row]:
+    frames, snr_caps, pd_caps = _sweep_columns(
+        "capacity-vs-frames", config, "frames", "snr_capacity", "pd_capacity"
+    )
+    pd_dev = _origin_fit_dev(frames, pd_caps)
     # One UAV of slack, plus two float spacings: past 2**53 UAVs adjacent
     # floats are more than one apart, and the fit is computed in floats.
     return [
         _Row(
-            _origin_fit_dev(frames, caps), 0.0,
-            1.0 + 2.0 * math.ulp(max(caps)),
+            _origin_fit_dev(frames, snr_caps), 0.0,
+            1.0 + 2.0 * math.ulp(max(snr_caps)),
             "max deviation from the through-origin fit, "
             f"frames {frames[0]}..{frames[-1]}",
-        )
-    ]
-
-
-@_check("pd_capacity_frames_monotone")
-def _pd_capacity_frames_monotone(config: ScenarioConfig) -> list[_Row]:
-    frames, caps = _sweep_columns("capacity-vs-frames", config, "frames", "pd_capacity")
-    dev = _origin_fit_dev(frames, caps)
-    return [
+        ),
         _Row(
-            dev,
+            pd_dev,
             detail="monotone non-decreasing asserted; deviation from "
-            f"proportionality measured at {dev:.3g} UAVs (concave trend)",
-            ok=all(b >= a for a, b in zip(caps, caps[1:])),
-        )
+            f"proportionality measured at {pd_dev:.3g} UAVs (concave trend)",
+            ok=all(b >= a for a, b in zip(pd_caps, pd_caps[1:])),
+        ),
     ]
 
 

@@ -96,9 +96,9 @@ def test_capacity_under_snr_scales_with_symbols() -> None:
 
 
 def test_capacity_under_snr_floor_at_large_budgets() -> None:
-    # Budgets of about 1e9 to 1e12 UAVs, where a ratio within the predicate's
-    # 1e-9 slack below an integer used to fail the post-hoc check; the last
-    # budgets lie past 2**53 UAVs, where floats no longer resolve one UAV.
+    # Budgets of about 1e9 to 1e12 UAVs, where a ratio can lie within the
+    # predicate's 1e-9 slack below an integer; the last budgets lie past
+    # 2**53 UAVs, where floats no longer resolve one UAV.
     threshold = db_to_linear(SPEC.snr_threshold_db)
     per_symbol = mean_snr_at(_query(total_symbols=1), 1) / threshold
     for total_symbols in [*np.geomspace(1e9, 1e12, 300) / per_symbol, 1e17, 1e20]:
@@ -268,8 +268,7 @@ def _record_probes(monkeypatch, query: CapacityQuery) -> list[tuple[str, int]]:
 
 def test_scan_evaluates_every_count_in_order(monkeypatch) -> None:
     # The scan is the bisection's oracle, so it must stay exhaustive: every
-    # count from 1 up to the first failing one, and nothing more (the result
-    # check reads the loop's verdicts).
+    # count from 1 up to the first failing one, and nothing more.
     probes = _record_probes(monkeypatch, _query())
     best = capacity_under_pd_scan(_query()).max_uavs
     assert best == PD_CAPACITY_NORMALIZED
@@ -287,15 +286,14 @@ def test_reference_solves_read_the_answer_and_the_next_count_once(
     monkeypatch,
 ) -> None:
     # At the reference each seed lands on the answer, so the search reads
-    # the answer and the next count, and the result check reuses both
-    # verdicts.
+    # the answer and the next count, and nothing else.
     probes = _record_probes(monkeypatch, _query())
     assert capacity_under_pd_bisect(_query()).max_uavs == PD_CAPACITY_NORMALIZED
     assert probes == [("exact", 33), ("exact", 34)]
     reads = []
     real = capacity._largest
 
-    def reading(holds, guess: int) -> tuple[int, bool, bool]:
+    def reading(holds, guess: int) -> int:
         def read(count: int) -> bool:
             reads.append(count)
             return holds(count)
@@ -340,7 +338,7 @@ def test_surrogate_out_of_window_solves_exactly_and_is_flagged() -> None:
 @pytest.mark.parametrize("mode", ["expanded", "fixed"])
 def test_surrogate_solve_starts_at_its_own_crossing(mode, monkeypatch) -> None:
     # The seed is the surrogate's exact crossing, so the search needs at
-    # most two evaluations, and the result check reuses their verdicts.
+    # most two evaluations.
     calls = 0
     real = capacity.log_joint_pd_surrogate
 
@@ -355,22 +353,35 @@ def test_surrogate_solve_starts_at_its_own_crossing(mode, monkeypatch) -> None:
     assert 1 <= calls <= 2
 
 
-@pytest.mark.parametrize("crossing", [0, 700_000])
-@pytest.mark.parametrize("guess", [0, 1, 2_100_000, 10**12])
-def test_largest_evaluation_budget(crossing: int, guess: int) -> None:
+def _search_from(crossing: int, guess: int) -> None:
     # From a guess far below or above the answer the walk doubles its step
-    # to a bracket and bisects it: at most two evaluations per bit of the
-    # distance, plus two, and never one count twice.
+    # to a bracket and bisects it: the answer is the crossing (the last
+    # count that holds, or 0), read in at most two evaluations per bit of
+    # the distance, plus two, and never one count twice.
     reads = []
 
     def predicate(value: int) -> bool:
         reads.append(value)
         return value <= crossing
 
-    assert capacity._largest(predicate, guess) == (crossing, True, False)
+    assert capacity._largest(predicate, guess) == crossing
     assert len(reads) == len(set(reads))
-    distance = max(abs(guess - crossing), 1)
-    assert len(reads) <= 2 * math.ceil(math.log2(distance)) + 2
+    assert len(reads) <= 2 * abs(guess - crossing).bit_length() + 2
+
+
+@pytest.mark.parametrize("crossing", [0, 700_000])
+@pytest.mark.parametrize("guess", [0, 1, 2_100_000, 10**12])
+def test_largest_evaluation_budget(crossing: int, guess: int) -> None:
+    _search_from(crossing, guess)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing=st.integers(0, 2**62), guess=st.integers(0, 2**62))
+# A power-of-two distance: 51 reads, one more than 2 * log2(distance) + 2.
+@example(crossing=16_777_217, guess=1)
+@example(crossing=2**62, guess=0)
+def test_largest_finds_any_crossing_within_its_budget(crossing: int, guess: int) -> None:
+    _search_from(crossing, guess)
 
 
 @settings(max_examples=25, deadline=None)
@@ -423,6 +434,24 @@ def test_scan_and_search_share_one_floor() -> None:
     query = _query(spec=replace(SPEC, pd_threshold=0.9607824058059576))
     assert capacity_under_pd_bisect(query).max_uavs == 33
     assert capacity_under_pd_scan(query).max_uavs == 33
+
+
+def test_capacities_scale_apart_as_the_budget_grows() -> None:
+    # The SNR capacity is rho / (2 gamma), linear in the budget; the PD
+    # capacity L tends to rho / (2 ln L), since Q^-1 of the miss budget
+    # -ln P / L grows as sqrt(2 ln L). At the reference 2 L ln L / rho reads
+    # 0.32, 0.51, 0.60, 0.65 and 0.68, and PD / SNR 1.83, 1.04, 0.73, 0.56
+    # and 0.46, at 1, 1e3, 1e6, 1e9 and 1e12 frames.
+    approach, pd_over_snr = [], []
+    for frames in (1, 10**3, 10**6, 10**9, 10**12):
+        query = _query(total_symbols=REFERENCE.symbols_per_frame * frames)
+        rho = 2.0 * mean_snr_at(query, 1)
+        pd = capacity_under_pd_bisect(query).max_uavs
+        approach.append(2.0 * pd * math.log(pd) / rho)
+        pd_over_snr.append(pd / capacity_under_snr(query).max_uavs)
+    assert all(a < b for a, b in zip(approach, approach[1:]))
+    assert approach[-1] < 1.0
+    assert pd_over_snr[1] > 1.0 > pd_over_snr[2]
 
 
 def test_capacity_monotone_in_threshold() -> None:

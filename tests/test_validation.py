@@ -20,13 +20,13 @@ from uavcap.validation import (
     _KS_CRITICAL,
     STATUSES,
     CheckResult,
+    _capacity_frames_checks,
     _density_checks,
     _detection_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
     _sampler_checks,
     _solver_agreement_check,
-    _snr_capacity_frames_proportional,
     _snr_checks,
     _surrogate_capacity_check,
     failed_checks,
@@ -395,7 +395,7 @@ def test_snr_proportionality_allows_for_float_spacing_past_2_53_uavs(
 ) -> None:
     # Past 2**53 UAVs adjacent floats are more than one apart, so the
     # absolute 1-UAV bound once failed these rows on sound capacities.
-    [row] = _snr_capacity_frames_proportional(parse_config("", overrides))
+    row, _ = _capacity_frames_checks(parse_config("", overrides))
     assert row.measured == deviation
     assert row.status == "pass"
     # Each deviation is at least half a float spacing of the largest capacity.
@@ -406,7 +406,7 @@ def test_snr_proportionality_still_fails_a_two_uav_shift(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     config = parse_config("")
-    [row] = _snr_capacity_frames_proportional(config)
+    row, _ = _capacity_frames_checks(config)
     assert (row.status, row.measured, f"{row.tolerance:.10g}") == ("pass", 0.0, "1")
     real = uavcap.sweeps.capacity_under_snr
     shifted_symbols = 5 * config.symbols_per_frame
@@ -418,7 +418,7 @@ def test_snr_proportionality_still_fails_a_two_uav_shift(
         return result
 
     monkeypatch.setattr(uavcap.sweeps, "capacity_under_snr", shifted)
-    [row] = _snr_capacity_frames_proportional(config)
+    row, _ = _capacity_frames_checks(config)
     assert row.status == "fail"
     assert row.measured > 1.8
 
@@ -434,11 +434,26 @@ def test_frame_trend_rows_read_the_capacity_vs_frames_sweep(
         return {**real(kind, config, 1.0), "frames": int(value)}
 
     config = parse_config("")
-    [row] = _snr_capacity_frames_proportional(config)
+    row, _ = _capacity_frames_checks(config)
     assert row.status == "pass" and row.detail.endswith(", frames 1..10")
     monkeypatch.setattr(uavcap.sweeps, "_capacity_row", ignores_point)
-    [row] = _snr_capacity_frames_proportional(config)
+    row, _ = _capacity_frames_checks(config)
     assert row.status == "fail"
+
+
+def test_validate_reads_each_trend_sweep_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Both frame rows come from one capacity-vs-frames sweep; the radius
+    # row reads capacity-vs-radius once per power level.
+    kinds = []
+    real = uavcap.validation.run_sweep
+
+    def counting(kind, config):
+        kinds.append(kind)
+        return real(kind, config)
+
+    monkeypatch.setattr(uavcap.validation, "run_sweep", counting)
+    run_validation(parse_config("", {"trials": "0"}))
+    assert kinds == ["capacity-vs-radius"] * 3 + ["capacity-vs-frames"]
 
 
 def test_trend_rows_read_the_default_grids_and_name_a_sweep_error() -> None:
