@@ -79,7 +79,6 @@ class ScenarioConfig:
     surrogate_mode: str = _key("exact", choices=SURROGATE_MODES)
     trials: int = _key(100_000, low=0)
     seed: int = _key(DEFAULT_SEED, low=0)
-    confidence: float = _key(0.99, low=0.0, high=1.0, low_open=True, high_open=True)
     # Unset: one frame per solve, and curves for 1, 3 and 5 frames in the
     # uav-count sweeps; set, it is the one budget and the one curve.
     frames: int | None = _key(None, low=1)
@@ -113,9 +112,7 @@ class ScenarioConfig:
         )
 
     def plan(self) -> TrialPlan:
-        return TrialPlan(
-            trials=self.trials, master_seed=self.seed, confidence=self.confidence
-        )
+        return TrialPlan(trials=self.trials, master_seed=self.seed)
 
     def query(self) -> CapacityQuery:
         return CapacityQuery(

@@ -26,15 +26,16 @@ against two thresholds, as common random numbers), and the integration
 energy one real and one imaginary normal per trial (the coherent sum of N
 independent CN(0, sigma^2) noise symbols is exactly CN(0, N sigma^2)).
 
-Estimates carry two-sided confidence half-widths (normal approximation;
-binomial standard error for rates).
+Estimates carry two-sided half-widths at the one level
+TrialPlan.confidence, CONFIDENCE_Z standard errors wide (normal
+approximation; binomial standard error for rates).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from .detection import lrt_threshold, q_inv
 from .geometry import SensingRegion
@@ -57,19 +58,19 @@ TAG_SCENARIOS = 4  # the random scenarios of validate's solver agreement check
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Trial count, master seed, and confidence level for one estimator run."""
+    """Trial count and master seed for one estimator run, at the one
+    confidence level every estimate's half-width is drawn at."""
+
+    confidence: ClassVar[float] = 0.99
 
     trials: int
     master_seed: int
-    confidence: float = 0.99
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,8 @@ class EmpiricalEstimate:
         return self.mean + self.half_width
 
 
-def confidence_z(confidence: float) -> float:
-    """Two-sided normal quantile: z with P(|N(0,1)| <= z) = confidence."""
-    return q_inv((1.0 - confidence) / 2.0)
+# The level's two-sided normal quantile: P(|N(0,1)| <= z) = confidence.
+CONFIDENCE_Z = q_inv((1.0 - TrialPlan.confidence) / 2.0)
 
 
 def substream(
@@ -158,7 +158,7 @@ def _reduce_mean(
     mean = total / n
     spread = total_sq - n * mean * mean
     if n > 1 and spread > 64.0 * math.ulp(total_sq):
-        half = scale * confidence_z(plan.confidence) * math.sqrt(spread / (n - 1) / n)
+        half = scale * CONFIDENCE_Z * math.sqrt(spread / (n - 1) / n)
     else:
         # One trial, or a spread lost to rounding, gives no spread estimate.
         half = math.inf
@@ -168,7 +168,7 @@ def _reduce_mean(
 def _rate_estimate(successes: int, plan: TrialPlan) -> EmpiricalEstimate:
     n = plan.trials
     p = successes / n
-    half = confidence_z(plan.confidence) * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    half = CONFIDENCE_Z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return EmpiricalEstimate(mean=p, half_width=half, trials=n)
 
 

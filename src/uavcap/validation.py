@@ -17,9 +17,7 @@ at zero trials, or a group that raises, still reports every named row.
 Statistical honesty rule: a Monte Carlo check whose confidence interval is
 too wide to resolve its tolerance reports ``inconclusive`` (with the
 reason) instead of pass or fail. Deterministic checks never do. The
-sampled rows test at 3 standard errors, with their estimators run at
-TrialPlan's default level: the ``confidence`` key sets only the
-snr-vs-uavs half-width column.
+sampled rows test at 3 standard errors.
 """
 
 from __future__ import annotations
@@ -42,11 +40,10 @@ from .geometry import (
 )
 from .link import linear_to_db, mean_single_uav_snr, path_gain_squared
 from .montecarlo import (
+    CONFIDENCE_Z,
     EmpiricalEstimate,
     TAG_POSITIONS,
     TAG_SCENARIOS,
-    TrialPlan,
-    confidence_z,
     mc_detection_rates,
     mc_integration_energy,
     mc_mean_snr,
@@ -263,11 +260,11 @@ def _halfwidth_db(estimate: EmpiricalEstimate) -> float:
 @_check("mean_snr_mc_vs_closed_form", "mean_snr_mode_gap", sampled=True)
 def _snr_checks(config: ScenarioConfig) -> list[_Row]:
     link, region = config.link(), config.region()
-    estimate = mc_mean_snr(link, region, TrialPlan(config.trials, config.seed))
+    estimate = mc_mean_snr(link, region, config.plan())
     hw_db = _halfwidth_db(estimate)
     # Tolerance: 3 standard errors, like the detection and energy rows; a CI
     # so wide that even a 2x defect could hide is inconclusive.
-    tol_db = 3.0 * hw_db / confidence_z(TrialPlan.confidence)
+    tol_db = 3.0 * hw_db / CONFIDENCE_Z
     too_wide = not math.isfinite(hw_db) or tol_db > 3.0
     mc_db = linear_to_db(estimate.mean) if estimate.mean > 0.0 else math.nan
     closed_db = linear_to_db(mean_single_uav_snr(link, region, "normalized"))
@@ -293,7 +290,7 @@ def _detection_checks(config: ScenarioConfig) -> list[_Row]:
     xi = q_inv(config.pfa)
     snr = (xi - q_inv(0.9)) ** 2 / 2.0
     pd_est, pfa_est = mc_detection_rates(
-        snr, config.pfa, config.cpi_symbols, TrialPlan(config.trials, config.seed)
+        snr, config.pfa, config.cpi_symbols, config.plan()
     )
     rows = []
     for estimate, expected in ((pd_est, pd_single(snr, config.pfa)), (pfa_est, config.pfa)):
@@ -322,7 +319,7 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
 
     base = config.link()
     amplitude = math.sqrt(path_gain_squared(base, config.radius_km))
-    plan, z = TrialPlan(config.trials, config.seed), confidence_z(TrialPlan.confidence)
+    plan = config.plan()
     rows = []
     # (N, energy-derived SNR, its standard error) per symbol count.
     snr_points: list[tuple[int, float, float]] = []
@@ -333,7 +330,10 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
             link.tx_power_mw / link.uavs_per_symbol
         ) * amplitude
         expected = n * n * signal**2 + n * link.noise_power_mw
-        tol = 3.0 * est.half_width / z
+        # 3 SE, plus 4 ulps of the expectation for rounding: the kernel's
+        # (N A)^2 and N^2 A^2 here differ by up to 2 ulps, and each side
+        # ends in one more add.
+        tol = 3.0 * est.half_width / CONFIDENCE_Z + 4.0 * math.ulp(expected)
         too_wide = est.half_width / expected > 0.1
         rows.append(
             _Row(
@@ -346,7 +346,7 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
         noise = n * link.noise_power_mw
         empirical_snr = est.mean / noise - 1.0
         if empirical_snr > 0.0:
-            snr_points.append((n, empirical_snr, est.half_width / z / noise))
+            snr_points.append((n, empirical_snr, est.half_width / CONFIDENCE_Z / noise))
 
     resolved = all(row.unresolved is None for row in rows)
     if resolved and len(snr_points) == len(_ENERGY_COUNTS):

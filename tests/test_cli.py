@@ -89,6 +89,18 @@ def test_a_removed_key_is_an_unknown_key(key: str, tmp_path: Path, capsys) -> No
     assert capsys.readouterr().err == f"uavcap: line 1: unknown key '{key}'\n"
 
 
+def test_the_retired_confidence_key_is_an_unknown_key(tmp_path: Path, capsys) -> None:
+    # Every Monte Carlo interval is drawn at one level; no key sets it.
+    assert main(["snr-vs-uavs", "--set", "confidence=0.95"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "uavcap: unknown key 'confidence'\n")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("pfa = 0.05\nconfidence = 0.99\n", encoding="utf-8")
+    assert main(["validate", "--config", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "uavcap: line 2: unknown key 'confidence'\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -22,7 +22,8 @@ from uavcap.validation import render_validation_csv
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The `#` echo of the reference config, line for line, as the first
-# release printed it; golden CSV digests skip `#` lines, so this pins it.
+# release printed it less the retired `confidence` line; golden CSV digests
+# skip `#` lines, so this pins it.
 REFERENCE_ECHO = """\
 # tx_power_dbm = 58.0
 # combined_gain_db = 22.5
@@ -42,7 +43,6 @@ REFERENCE_ECHO = """\
 # surrogate_mode = exact
 # trials = 100000
 # seed = 20260816
-# confidence = 0.99
 """
 
 
@@ -239,13 +239,13 @@ def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     table = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| `")]
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
-    assert len(documented) == len(set(documented)) == 23
+    assert len(documented) == len(set(documented)) == 22
 
 
 def test_every_field_is_a_config_key() -> None:
     names = [f.name for f in fields(ScenarioConfig)]
     assert names == list(_KEYS)
-    assert len(names) == 23
+    assert len(names) == 22
 
 
 def test_readme_library_section_names_only_exported_names() -> None:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from uavcap.link import (
     per_uav_snr,
 )
 from uavcap.montecarlo import (
+    CONFIDENCE_Z,
     TAG_DETECTION,
     TAG_ENERGY,
     TAG_POSITIONS,
@@ -24,7 +25,6 @@ from uavcap.montecarlo import (
     _rate_estimate,
     _reduce_mean,
     _run_chunks,
-    confidence_z,
     mc_detection_rates,
     mc_integration_energy,
     mc_mean_snr,
@@ -39,8 +39,6 @@ def test_trial_plan_validation() -> None:
         TrialPlan(0, 1)
     with pytest.raises(ValueError, match="master_seed"):
         TrialPlan(10, -1)
-    with pytest.raises(ValueError, match="confidence"):
-        TrialPlan(10, 1, confidence=1.0)
 
 
 def test_estimate_interval_endpoints() -> None:
@@ -50,8 +48,10 @@ def test_estimate_interval_endpoints() -> None:
 
 
 def test_confidence_z_reference() -> None:
-    assert confidence_z(0.99) == pytest.approx(2.5758293035489004, rel=1e-12)
-    assert confidence_z(0.95) == pytest.approx(1.959963984540054, rel=1e-12)
+    # One level for every estimate: a class constant, not a plan field.
+    assert TrialPlan.confidence == 0.99
+    assert [f.name for f in fields(TrialPlan)] == ["trials", "master_seed"]
+    assert CONFIDENCE_Z == pytest.approx(2.5758293035489004, rel=1e-12)
 
 
 def test_substream_determinism_and_separation() -> None:
@@ -93,7 +93,7 @@ def test_mc_mean_snr_tracks_closed_form(
     plan = TrialPlan(20_000, SEED)
     est = mc_mean_snr(reference_link, reference_region, plan)
     closed = mean_single_uav_snr(reference_link, reference_region)
-    assert abs(est.mean - closed) < 5.0 * est.half_width / confidence_z(plan.confidence)
+    assert abs(est.mean - closed) < 5.0 * est.half_width / CONFIDENCE_Z
 
 
 @pytest.mark.parametrize("radius_ratio", ["10", "100", "1e3", "1e6", "1e12"])
@@ -212,9 +212,7 @@ def test_mc_integration_energy_matches_closed_form(
     est = mc_integration_energy(link, amplitude, plan)
     signal = link.gain_amplitude * math.sqrt(link.tx_power_mw) * amplitude
     expected = n_symbols**2 * signal**2 + n_symbols * link.noise_power_mw
-    assert abs(est.mean - expected) <= 4.0 * est.half_width / confidence_z(
-        plan.confidence
-    )
+    assert abs(est.mean - expected) <= 4.0 * est.half_width / CONFIDENCE_Z
 
 
 @pytest.mark.parametrize("n_symbols", [1, 3, 8])
@@ -443,7 +441,7 @@ def test_mean_snr_interval_is_unbounded_where_rounding_hides_the_spread(
     trials = 20_000
     est = mc_mean_snr(reference_link, SensingRegion(1.0, ratio, 0.6), TrialPlan(trials, 7))
     if resolved:
-        expected = confidence_z(0.99) * est.mean * math.log(ratio) / math.sqrt(12 * trials)
+        expected = CONFIDENCE_Z * est.mean * math.log(ratio) / math.sqrt(12 * trials)
         assert est.half_width == pytest.approx(expected, rel=0.05)
     else:
         assert est.half_width == math.inf

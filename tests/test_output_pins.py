@@ -21,33 +21,34 @@ _SETS = {
 # The snr-vs-uavs rows date from the log-uniform mean-SNR sampler, the validate
 # rows from the energy kernel's one complex normal per trial (new cells of the
 # integration_energy_n3/n8 and integration_snr_slope rows) and the mean-SNR
-# rows' 3 SE tolerance without a 0.1 dB floor (new tolerance cells).
+# rows' 3 SE tolerance without a 0.1 dB floor (new tolerance cells). Every
+# header lost its `# confidence = 0.99` line when that key was retired.
 _PINS = {
-    ("reference", "snr-vs-uavs"): (0, "9f76eeebeace45ed001194031bef75b97dc1682d9e8b88378dd6fddec6aefeef"),
-    ("reference", "pd-vs-uavs"): (0, "896f5a504a23773d38c6657e1cb05cf5a4acc819f987403128856d7e11fffee4"),
-    ("reference", "capacity-vs-radius"): (0, "5eae6122d17c744da7109d57fce3e5d994cfe36f1fb59ecd8d93e331ae8813de"),
-    ("reference", "capacity-vs-frames"): (0, "c2fe0a4d3c4b4489491c538f28f2b2de293e7c63712cd2877502b33f117a7a95"),
-    ("reference", "capacity-vs-power"): (0, "108c04ba4318fe332c9f656f581a99e2ad391a78ee8879a9783581f2fc21a8d7"),
-    ("reference", "validate"): (0, "23028b595c286f45d195e54f77904f66b4c30d6a6dc8a9c79c58fc147d78e149"),
-    ("k4_unnormalized", "snr-vs-uavs"): (0, "234f70c07c6ea986d6d0c3401e45cf8282dc90713d7743e48b695e46bd700bf8"),
-    ("k4_unnormalized", "pd-vs-uavs"): (0, "26ba60e554a35027a329881f1c09ebbd325addc1999043cb98c87a9069e35c5f"),
-    ("k4_unnormalized", "capacity-vs-radius"): (0, "ce304c0d905ffbd953d6803918358c31739cb7c758813773ad61d5e1d98850d0"),
-    ("k4_unnormalized", "capacity-vs-frames"): (0, "ba185009e9f8117433982f93e6256f459955f410dd3c3f8617096041b1691a01"),
-    ("k4_unnormalized", "capacity-vs-power"): (0, "ee73829b16193969aecc03a4978accf2861d0942ca1d677e9df04f4c78983061"),
-    ("k4_unnormalized", "validate"): (0, "5ae729b98dd4965061a573f76c253583091278f17a867a043a9af21c8934d6f4"),
-    ("fixed_pfa01", "snr-vs-uavs"): (0, "5201594d584e994ed065e6601ad6f587026bba4a1324abf3d932d32fd7d46cf0"),
-    ("fixed_pfa01", "pd-vs-uavs"): (0, "d13cbc6e12fe95404426cee1b26d02cd1115cdcb6a96dc69f70e3194ef6dfe93"),
+    ("reference", "snr-vs-uavs"): (0, "9816fc11fc478c0478bd9914fcf4958edf38b0e384989957126e397597fced59"),
+    ("reference", "pd-vs-uavs"): (0, "611c8704cbc0bbd945cca3ccde04ca2100cbb88cfc3da942034d9e3f4acf62c5"),
+    ("reference", "capacity-vs-radius"): (0, "3fd79443db4023ef034a0e132d124e1d4eba26d14cce3bcf02691cd98a94cd3c"),
+    ("reference", "capacity-vs-frames"): (0, "2d4b098310475dc393dbc493372b3d2de02e7741d3726da28ab42f886f840cf7"),
+    ("reference", "capacity-vs-power"): (0, "8d23b2eec574c40d517f2e0efe7b9a0fa4e2702b22af72308b6b520a306df236"),
+    ("reference", "validate"): (0, "3464960b5972d361f8ae4f1a51e548bbcd8e8c6fab94261dd0a7deebdc4c6e56"),
+    ("k4_unnormalized", "snr-vs-uavs"): (0, "b98a49a08125690b84d8d7bef1d2704f10b6c27267553693099f0a3a95710f3e"),
+    ("k4_unnormalized", "pd-vs-uavs"): (0, "b9a54de3f58330cf103fd56d3de712ecf801ca95f0d611872795f828703373db"),
+    ("k4_unnormalized", "capacity-vs-radius"): (0, "6d9e78da28fa0637a3bf143841003465efde2e11e9babdc0bceec52f9d8d6397"),
+    ("k4_unnormalized", "capacity-vs-frames"): (0, "e256cd605160197eb6558c9759c9b21b080a469808d0a8e7bc6a01fc99fcfa49"),
+    ("k4_unnormalized", "capacity-vs-power"): (0, "b1e5453df2e419856ea24efca491b19b3bdf15159c77274054c256f70de72455"),
+    ("k4_unnormalized", "validate"): (0, "c89389aa67f6c44da44228c7c2559f3f63f015f6203288c1523bb3d031ad10fd"),
+    ("fixed_pfa01", "snr-vs-uavs"): (0, "ae4a5d112bab725b64a3c1d6d303b54013375024becd1ec6508aa4a420ce7064"),
+    ("fixed_pfa01", "pd-vs-uavs"): (0, "7d8368cd01656a787abaf26574fa83d26659b545bb0f9955ebb9300b3f1a96e7"),
     # At 2 km the fixed surrogate leaves its window, so pd_capacity is the exact 2, not 1.
-    ("fixed_pfa01", "capacity-vs-radius"): (0, "890c0d03faf98f3dcab4712857819ea724aa208bd7ac9de9fe347e3186014aa2"),
-    ("fixed_pfa01", "capacity-vs-frames"): (0, "45337c709017d3cf45e606c084e40addbcdcba877e51b5d2a7e485ba79110c54"),
-    ("fixed_pfa01", "capacity-vs-power"): (0, "cdf800c3c333889e8cfcb6020095b16f93987d51d87895e695c6ad47eca44c94"),
-    ("fixed_pfa01", "validate"): (0, "4baa2a83c1b9e66f3d1cb33141ebfea4fea3c1bed8f4dbd306279e7ed10cc429"),
-    ("expanded_n8", "snr-vs-uavs"): (0, "394c4194b33889ae52e5441fa1b89e206d978b374c0476039fcaac90f20a7133"),
-    ("expanded_n8", "pd-vs-uavs"): (0, "4aeb447cbd623e12b51b656887b3897ef83b881ac911913dabc9300c72f1f767"),
-    ("expanded_n8", "capacity-vs-radius"): (0, "f549ea1085667e27554920abc3bda85b0c4a1a31aab74216ceb5a045af833789"),
-    ("expanded_n8", "capacity-vs-frames"): (0, "daef04e883ef7e60d7db162d893f8b9a13ad565a6fd6f44a0ea726e5401ec09c"),
-    ("expanded_n8", "capacity-vs-power"): (0, "4402c677dc40cd58a998aeef84550540e427c5ec01034a2b9e8d6b3bf09246b4"),
-    ("expanded_n8", "validate"): (0, "353f38af00f4da96460945cd6bb6c6015ac5a54734248d73d391602ffb9f4099"),
+    ("fixed_pfa01", "capacity-vs-radius"): (0, "a08e425ea0f8d2f4557403d0005ba86c14de90d9e36dd59a4a76d91daf71c87d"),
+    ("fixed_pfa01", "capacity-vs-frames"): (0, "97545385092b7a587b002117d1ccc2b1d2156cda02984ad5f99ec36453e05383"),
+    ("fixed_pfa01", "capacity-vs-power"): (0, "0f3ad5131e6b979272645f85318ec741aef70a9acc413f55fd4eebac804c1409"),
+    ("fixed_pfa01", "validate"): (0, "0faffb4dc05ceb3469965937f73b7c4367c28edb2889cf7bca3ee2fb47638a2a"),
+    ("expanded_n8", "snr-vs-uavs"): (0, "4e03cfe3f8ada10dca9a4e71c3f0688c92eeb57e9b08336bf912580ebd98dfee"),
+    ("expanded_n8", "pd-vs-uavs"): (0, "11b4ca631f850677fc1446dce638e0a2dac9da3794f324f39a67f1e7eaa08c5d"),
+    ("expanded_n8", "capacity-vs-radius"): (0, "4e930dea0e18aca95335745285eb25b8fcd10f25d028b32ad272f1298ebd3d0b"),
+    ("expanded_n8", "capacity-vs-frames"): (0, "7c78abfaae49541a88558214936ed508cff9e0cbf5a7ceee9a9a76744c50b402"),
+    ("expanded_n8", "capacity-vs-power"): (0, "288b3345de832f743b586c6908d81d87c78ab9f45dd79b3a67014d7289ed686d"),
+    ("expanded_n8", "validate"): (0, "e3fb7b359860f9c4019e5fde2114134b7a3469d0a7c541b403d763462e146d4c"),
 }
 
 

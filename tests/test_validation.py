@@ -500,19 +500,34 @@ def test_an_incoherent_energy_kernel_still_fails_the_slope(
         return real(link, amplitude / math.sqrt(link.cpi_symbols), plan, salt=salt)
 
     monkeypatch.setattr(uavcap.validation, "mc_integration_energy", incoherent)
-    slope = _slope_row(parse_config(""))
+    rows = {r.name: r for r in _integration_checks(parse_config(""))}
+    slope = rows["integration_snr_slope"]
     assert slope.status == "fail"
     assert abs(slope.measured) < 0.05
+    # At N = 1 the two laws agree; at N = 3 and 8 the missing echo energy
+    # is over a hundred tolerances, far past the rounding allowance.
+    assert [rows[f"integration_energy_n{n}"].status for n in (1, 3, 8)] == [
+        "pass", "fail", "fail",
+    ]
 
 
-@pytest.mark.parametrize("radius_km", ["1e-5", "1e-20", "1e-50"])
+@pytest.mark.parametrize(
+    "overrides",
+    [pytest.param({"radius_km": km}, id=km) for km in ("1e-5", "1e-20", "1e-50")]
+    + [
+        pytest.param({"combined_gain_db": db}, id=f"combined_gain_db={db}")
+        for db in ("200", "250")
+    ],
+)
 def test_energy_rows_keep_their_spread_when_the_echo_swamps_the_noise(
-    radius_km: str,
+    overrides: dict,
 ) -> None:
     # At 1e-5 km the echo outweighs the noise by about 1e19. Taken about
     # zero, the one-pass variance cancelled there to a tolerance of 0 (a
-    # fail), and at 1e-50 km its squares overflowed to a nan tolerance.
-    config = parse_config("", {"radius_km": radius_km, "trials": "20000"})
+    # fail), and at 1e-50 km its squares overflowed to a nan tolerance. At
+    # 200 dB the n3 row once failed at every seed, on the rounding of the
+    # echo energy alone: its 3 SE were below one ulp of the expectation.
+    config = parse_config("", {**overrides, "trials": "20000"})
     rows = {r.name: r for r in _integration_checks(config)}
     for n in (1, 3, 8):
         row = rows[f"integration_energy_n{n}"]
@@ -520,8 +535,24 @@ def test_energy_rows_keep_their_spread_when_the_echo_swamps_the_noise(
         echo = row.expected - noise
         # Var |N A + x|^2 = 2 (N A)^2 N sigma^2 + (N sigma^2)^2.
         se = math.sqrt((2.0 * echo * noise + noise * noise) / config.trials)
+        allowance = 4.0 * math.ulp(row.expected)
         assert row.status == "pass"
-        assert row.tolerance == pytest.approx(3.0 * se, rel=0.05)
+        assert row.tolerance == pytest.approx(3.0 * se + allowance, rel=0.05)
+
+
+def test_energy_rows_do_not_fail_on_rounding_anywhere_the_echo_swamps_the_noise() -> None:
+    # Without the rounding allowance, integration_energy_n3 failed at 46 of
+    # these 123 points, wherever (N A)^2 and N^2 A^2 rounded apart.
+    fails = [
+        (db, km, row.name)
+        for db in range(100, 301, 5)
+        for km in ("0.01", "1", "100")
+        for row in _integration_checks(
+            parse_config("", {"combined_gain_db": str(db), "radius_km": km, "trials": "2000"})
+        )
+        if row.status != "pass"
+    ]
+    assert fails == []
 
 
 def test_detection_rows_false_fail_at_their_stated_level() -> None:
@@ -622,23 +653,6 @@ def test_solver_agreement_draws_python_floats() -> None:
         [row] = _solver_agreement_check(parse_config("", {"carrier_freq_mhz": "1e-300"}))
     assert row.status == "fail"
     assert row.detail.startswith("ZeroDivisionError: ")
-
-
-SAMPLED_SE_ROWS = (
-    "mean_snr_mc_vs_closed_form", "mean_snr_mode_gap", "integration_energy_n1",
-    "integration_energy_n3", "integration_energy_n8", "integration_snr_slope",
-)
-
-
-@pytest.mark.parametrize("confidence", ["1e-17", "1e-16", "0.5", "0.999"])
-def test_confidence_does_not_move_the_sampled_rows(confidence: str) -> None:
-    # At 1e-17 the level's z is 0, and the rows once divided by it; at
-    # 1e-16 the mean-SNR rows once failed at a tolerance of 0.
-    rows = lambda overrides: [
-        r for r in run_validation(parse_config("", {"trials": "2000", **overrides}))
-        if r.name in SAMPLED_SE_ROWS
-    ]
-    assert rows({"confidence": confidence}) == rows({})
 
 
 @pytest.mark.parametrize(
