@@ -27,7 +27,7 @@ energy one real and one imaginary normal per trial (the coherent sum of N
 independent CN(0, sigma^2) noise symbols is exactly CN(0, N sigma^2)).
 
 Estimates carry two-sided half-widths at the one level
-TrialPlan.confidence, CONFIDENCE_Z standard errors wide (normal
+TrialPlan.confidence, CONFIDENCE_Z standard errors `se` wide (normal
 approximation; binomial standard error for rates).
 """
 
@@ -88,6 +88,10 @@ class EmpiricalEstimate:
     @property
     def high(self) -> float:
         return self.mean + self.half_width
+
+    @property
+    def se(self) -> float:
+        return self.half_width / CONFIDENCE_Z
 
 
 # The level's two-sided normal quantile: P(|N(0,1)| <= z) = confidence.

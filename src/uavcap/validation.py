@@ -14,10 +14,10 @@ a set ``ok`` gives pass/fail for a qualitative check, and otherwise the
 row passes when ``|measured - expected| <= tolerance``. A sampled group
 at zero trials, or a group that raises, still reports every named row.
 
-Statistical honesty rule: a Monte Carlo check whose confidence interval is
-too wide to resolve its tolerance reports ``inconclusive`` (with the
-reason) instead of pass or fail. Deterministic checks never do. The
-sampled rows test at 3 standard errors.
+Statistical honesty rule: a standard-error row reports its ``se`` and its
+``bound``, and is ``inconclusive`` when 3 SE is not finite or exceeds the
+bound, instead of pass or fail. Otherwise it tests at 3 SE plus 4 ulps of
+its expectation. Deterministic checks are never inconclusive.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .link import linear_to_db, mean_single_uav_snr, path_gain_squared
 from .montecarlo import (
-    CONFIDENCE_Z,
     EmpiricalEstimate,
     TAG_POSITIONS,
     TAG_SCENARIOS,
@@ -70,7 +69,8 @@ class CheckResult:
 class _Row(NamedTuple):
     """What a check group reports for one of its named rows. ``ok`` is the
     verdict of a qualitative check; ``unresolved`` is the reason a check
-    cannot resolve its tolerance."""
+    cannot resolve its tolerance. A standard-error row gives its ``se`` and
+    its ``bound``, the largest 3 SE at which it can still see a defect."""
 
     measured: float | None = None
     expected: float | None = None
@@ -78,17 +78,33 @@ class _Row(NamedTuple):
     detail: str = ""
     ok: bool | None = None
     unresolved: str | None = None
+    se: float | None = None
+    bound: float | None = None
+
+    @property
+    def inconclusive(self) -> str | None:
+        """Why the row cannot resolve a defect, or None if it can."""
+        if self.unresolved is None and self.se is not None:
+            spread = 3.0 * self.se
+            if not (math.isfinite(spread) and spread <= self.bound):
+                return f"inconclusive: 3 SE = {spread:.2g} > {self.bound:.2g}"
+        return self.unresolved
 
 
 def _result(name: str, row: _Row) -> CheckResult:
-    """The verdict rule for every row."""
-    if row.unresolved is not None:
-        status, detail = "inconclusive", row.unresolved
+    """The verdict rule for every row. A standard-error row that fixes no
+    tolerance tests at 3 SE plus 4 ulps of its expectation, for rounding."""
+    tolerance = row.tolerance
+    if tolerance is None and row.se is not None:
+        tolerance = 3.0 * row.se + 4.0 * math.ulp(row.expected)
+    reason = row.inconclusive
+    if reason is not None:
+        status, detail = "inconclusive", reason
     else:
         ok = row.ok if row.ok is not None else (
-            abs(row.measured - row.expected) <= row.tolerance)
+            abs(row.measured - row.expected) <= tolerance)
         status, detail = ("pass" if ok else "fail"), row.detail
-    return CheckResult(name, status, row.measured, row.expected, row.tolerance, detail)
+    return CheckResult(name, status, row.measured, row.expected, tolerance, detail)
 
 
 _Group = Callable[[ScenarioConfig], list[CheckResult]]
@@ -198,9 +214,10 @@ _KS_CRITICAL = 1.788425236148623
 # The sampled ranges can take only the k floats in [R/eps, R], so near
 # radius_ratio 1 their KS statistic sits about 1/k from 0 whatever the
 # sampler. The range row is inconclusive while _KS_LATTICE / k reaches the
-# critical value. At 5, the row fails 3 of seeds 1-200 at the smallest
-# ratio still tested (k = 885 at 1e5 trials), within the 1 %/3 level.
-_KS_LATTICE = 5.0
+# critical value. At 15 the smallest k still tested at 1e5 trials is 2653,
+# where the row fails 3 of seeds 1-1000 and 23 of seeds 1-5000, within the
+# 1 %/3 level's one-sided 1 % binomial bounds (8 and 27).
+_KS_LATTICE = 15.0
 
 
 @_check("sampler_ks_range", "sampler_ks_elevation", "sampler_ks_azimuth", sampled=True)
@@ -262,23 +279,21 @@ def _snr_checks(config: ScenarioConfig) -> list[_Row]:
     link, region = config.link(), config.region()
     estimate = mc_mean_snr(link, region, config.plan())
     hw_db = _halfwidth_db(estimate)
-    # Tolerance: 3 standard errors, like the detection and energy rows; a CI
-    # so wide that even a 2x defect could hide is inconclusive.
-    tol_db = 3.0 * hw_db / CONFIDENCE_Z
-    too_wide = not math.isfinite(hw_db) or tol_db > 3.0
+    # One SE in dB: the CI's upper half-width in dB over the SEs it spans.
+    # The bound: with 3 SE past 3 dB even a 2x defect could hide.
+    se_db = hw_db * estimate.se / estimate.half_width if 0.0 < hw_db < math.inf else hw_db
     mc_db = linear_to_db(estimate.mean) if estimate.mean > 0.0 else math.nan
     closed_db = linear_to_db(mean_single_uav_snr(link, region, "normalized"))
     unnorm_db = linear_to_db(mean_single_uav_snr(link, region, "unnormalized"))
     gap_expected = 10.0 * math.log10(math.sin(region.max_elevation))
-    note = f"inconclusive: CI too wide ({hw_db:.3g} dB)" if too_wide else None
     return [
         _Row(
-            mc_db, closed_db, tol_db,
-            f"{config.trials} trials, CI half-width {hw_db:.3g} dB", unresolved=note,
+            mc_db, closed_db, detail=f"{config.trials} trials, CI half-width {hw_db:.3g} dB",
+            se=se_db, bound=3.0,
         ),
         _Row(
-            unnorm_db - mc_db, gap_expected, tol_db,
-            "unnormalized closed form minus sampled mean, dB", unresolved=note,
+            unnorm_db - mc_db, gap_expected,
+            detail="unnormalized closed form minus sampled mean, dB", se=se_db, bound=3.0,
         ),
     ]
 
@@ -292,17 +307,13 @@ def _detection_checks(config: ScenarioConfig) -> list[_Row]:
     pd_est, pfa_est = mc_detection_rates(
         snr, config.pfa, config.cpi_symbols, config.plan()
     )
-    rows = []
-    for estimate, expected in ((pd_est, pd_single(snr, config.pfa)), (pfa_est, config.pfa)):
-        tol = 3.0 * math.sqrt(expected * (1.0 - expected) / config.trials)
-        unresolved = "inconclusive: CI too wide (3 SE > 0.05)" if tol > 0.05 else None
-        rows.append(
-            _Row(
-                estimate.mean, expected, tol,
-                f"3 binomial SE at {config.trials} trials", unresolved=unresolved,
-            )
+    return [
+        _Row(
+            estimate.mean, expected, detail=f"3 binomial SE at {config.trials} trials",
+            se=math.sqrt(expected * (1.0 - expected) / config.trials), bound=0.05,
         )
-    return rows
+        for estimate, expected in ((pd_est, pd_single(snr, config.pfa)), (pfa_est, config.pfa))
+    ]
 
 
 # Symbol counts of the integration energy rows.
@@ -330,26 +341,16 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
             link.tx_power_mw / link.uavs_per_symbol
         ) * amplitude
         expected = n * n * signal**2 + n * link.noise_power_mw
-        # 3 SE, plus 4 ulps of the expectation for rounding: the kernel's
-        # (N A)^2 and N^2 A^2 here differ by up to 2 ulps, and each side
-        # ends in one more add.
-        tol = 3.0 * est.half_width / CONFIDENCE_Z + 4.0 * math.ulp(expected)
-        too_wide = est.half_width / expected > 0.1
-        rows.append(
-            _Row(
-                est.mean, expected, tol, "signal energy grows as N^2, noise as N",
-                unresolved=(
-                    "inconclusive: CI too wide (rel. half-width > 10%)" if too_wide else None
-                ),
-            )
-        )
+        # The kernel's (N A)^2 and N^2 A^2 here differ by up to 2 ulps, and
+        # each side ends in one more add: the rule's 4-ulp allowance.
+        detail = "signal energy grows as N^2, noise as N"
+        rows.append(_Row(est.mean, expected, None, detail, se=est.se, bound=0.1 * expected))
         noise = n * link.noise_power_mw
         empirical_snr = est.mean / noise - 1.0
         if empirical_snr > 0.0:
-            snr_points.append((n, empirical_snr, est.half_width / CONFIDENCE_Z / noise))
+            snr_points.append((n, empirical_snr, est.se / noise))
 
-    resolved = all(row.unresolved is None for row in rows)
-    if resolved and len(snr_points) == len(_ENERGY_COUNTS):
+    if all(row.inconclusive is None for row in rows) and len(snr_points) == len(_ENERGY_COUNTS):
         logs = np.log([n for n, _, _ in snr_points])
         vals = np.log([snr for _, snr, _ in snr_points])
         # The least-squares slope is sum(w_i ln SNR_i) with weights
@@ -362,17 +363,8 @@ def _integration_checks(config: ScenarioConfig) -> list[_Row]:
         slope = float(weights @ vals)
         rel_se = np.array([se / snr for _, snr, se in snr_points])
         slope_se = float(np.sqrt(np.sum((weights * rel_se) ** 2)))
-        unresolved = (
-            f"inconclusive: slope too uncertain (3 SE = {3.0 * slope_se:.2g} > 0.05)"
-            if 3.0 * slope_se > 0.05
-            else None
-        )
-        rows.append(
-            _Row(
-                slope, 1.0, 0.05, "log-log slope of energy-derived SNR vs symbol count",
-                unresolved=unresolved,
-            )
-        )
+        detail = "log-log slope of energy-derived SNR vs symbol count"
+        rows.append(_Row(slope, 1.0, 0.05, detail, se=slope_se, bound=0.05))
     else:
         rows.append(_Row(unresolved="inconclusive: energy estimates too noisy"))
     return rows
@@ -560,16 +552,18 @@ def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[_Row]:
     # of the curve's scale. One second difference (crossing 3) is too few
     # to tell a sharp drop: sound curves bend up there, so only convexity
     # and the half-count bound are read.
-    logs = [-math.log(p) for p in pds]
+    # PD at the last count read, past the crossing, can underflow to 0.
+    logs = [-math.log(p) if p > 0.0 else math.inf for p in pds]
     convex = all(
         logs[i + 1] - 2.0 * logs[i] + logs[i - 1] >= -1e-15 for i in range(1, len(logs) - 1)
     )
     parabola = -2.0 * (1.0 - config.pd_threshold) * (step / crossing) ** 2
-    # Slow first: -ln PD at half the crossing is at most a fifth of -ln of
-    # the floor, a bound free of the floor's scale (at 0.95 it reads
-    # PD >= 0.9898). Convexity alone guarantees only a half.
+    # Slow first: -ln PD at half the crossing is at most 0.4 of -ln of the
+    # floor (at 0.95, PD >= 0.9797); convexity alone guarantees a half. Over
+    # floors 1e-300..0.999, pfa 1e-12..0.5 and radius_ratio >= 5 sound curves
+    # reach 0.3985, at ratio 5, pfa near 0.5 and floor 1e-300.
     half = pds[len(pds) // 2 - 1]
-    slow = math.log(half) >= 0.2 * math.log(config.pd_threshold)
+    slow = math.log(half) >= 0.4 * math.log(config.pd_threshold)
     single = len(bend) == 1
     sharp = single or min(bend) < parabola
     grid = f" every {step} counts" if step > 1 else ""

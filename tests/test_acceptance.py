@@ -190,8 +190,7 @@ def test_criterion_04_coherent_integration() -> None:
         varied = replace(link, cpi_symbols=n)
         estimate = mc_integration_energy(varied, amplitude, plan, salt=n)
         expected = n * n * signal**2 + n * varied.noise_power_mw
-        se = estimate.half_width / 2.5758293035489004
-        worst_z = max(worst_z, abs(estimate.mean - expected) / se)
+        worst_z = max(worst_z, abs(estimate.mean - expected) / estimate.se)
         snr_n = (estimate.mean - n * varied.noise_power_mw) / (
             n * varied.noise_power_mw
         )

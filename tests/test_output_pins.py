@@ -22,7 +22,9 @@ _SETS = {
 # rows from the energy kernel's one complex normal per trial (new cells of the
 # integration_energy_n3/n8 and integration_snr_slope rows) and the mean-SNR
 # rows' 3 SE tolerance without a 0.1 dB floor (new tolerance cells). Every
-# header lost its `# confidence = 0.99` line when that key was retired.
+# header lost its `# confidence = 0.99` line when that key was retired. The
+# k4_unnormalized validate row's inconclusive slope detail reads the one
+# standard-error template, `3 SE = 0.055 > 0.05`.
 _PINS = {
     ("reference", "snr-vs-uavs"): (0, "9816fc11fc478c0478bd9914fcf4958edf38b0e384989957126e397597fced59"),
     ("reference", "pd-vs-uavs"): (0, "611c8704cbc0bbd945cca3ccde04ca2100cbb88cfc3da942034d9e3f4acf62c5"),
@@ -35,7 +37,7 @@ _PINS = {
     ("k4_unnormalized", "capacity-vs-radius"): (0, "6d9e78da28fa0637a3bf143841003465efde2e11e9babdc0bceec52f9d8d6397"),
     ("k4_unnormalized", "capacity-vs-frames"): (0, "e256cd605160197eb6558c9759c9b21b080a469808d0a8e7bc6a01fc99fcfa49"),
     ("k4_unnormalized", "capacity-vs-power"): (0, "b1e5453df2e419856ea24efca491b19b3bdf15159c77274054c256f70de72455"),
-    ("k4_unnormalized", "validate"): (0, "c89389aa67f6c44da44228c7c2559f3f63f015f6203288c1523bb3d031ad10fd"),
+    ("k4_unnormalized", "validate"): (0, "5e6297089d58d574a34598b58c3fe1d962e49e4e76a296818274471b9ee860f3"),
     ("fixed_pfa01", "snr-vs-uavs"): (0, "ae4a5d112bab725b64a3c1d6d303b54013375024becd1ec6508aa4a420ce7064"),
     ("fixed_pfa01", "pd-vs-uavs"): (0, "7d8368cd01656a787abaf26574fa83d26659b545bb0f9955ebb9300b3f1a96e7"),
     # At 2 km the fixed surrogate leaves its window, so pd_capacity is the exact 2, not 1.

@@ -15,7 +15,8 @@ import uavcap.validation
 from uavcap.cli import main
 from uavcap.config import parse_config
 from uavcap.geometry import Position, position_pdf, sample_positions
-from uavcap.montecarlo import TAG_POSITIONS, substream
+from uavcap.link import mean_single_uav_snr
+from uavcap.montecarlo import CONFIDENCE_Z, TAG_POSITIONS, EmpiricalEstimate, substream
 from uavcap.validation import (
     _KS_CRITICAL,
     STATUSES,
@@ -25,6 +26,7 @@ from uavcap.validation import (
     _detection_checks,
     _integration_checks,
     _joint_pd_slow_then_sharp,
+    _result,
     _sampler_checks,
     _solver_agreement_check,
     _snr_checks,
@@ -246,7 +248,8 @@ def test_ks_critical_value_is_the_kolmogorov_quantile() -> None:
     [
         ("1.0000000000000002", "2000", 3, "inconclusive"),
         ("1.00000000000001", "100000", 91, "inconclusive"),
-        ("1.0000000000001", "100000", 901, "pass"),
+        ("1.0000000000001", "100000", 901, "inconclusive"),
+        ("1.0000000000003", "100000", 2703, "pass"),
     ],
 )
 def test_sampler_range_row_on_a_coarse_float_lattice_is_inconclusive(
@@ -254,8 +257,9 @@ def test_sampler_range_row_on_a_coarse_float_lattice_is_inconclusive(
 ) -> None:
     # Near radius_ratio 1 the ranges take only the floats in [R/eps, R], so
     # the KS statistic is about 1/k whatever the sampler: the first two once
-    # failed at 0.3325 against 0.04 and 0.01013 against 0.005655. From
-    # 1+1e-13 up the row is tested as before.
+    # failed at 0.3325 against 0.04 and 0.01013 against 0.005655. At 901
+    # floats the row failed 16 of seeds 1-1000, past the 1 %/3 level's
+    # binomial bound of 8; from 2653 floats up it is tested.
     config = parse_config("", {"radius_ratio": ratio, "trials": trials})
     range_row, *others = _sampler_checks(config)
     assert range_row.status == status
@@ -319,6 +323,13 @@ def test_a_raising_trend_check_costs_only_its_own_row(
         # curve; the half-count bound scales with -ln of the floor.
         ({"pd_threshold": "0.2"}, 58),
         ({"pd_threshold": "0.1"}, 62),
+        # At deep floors -ln PD at half the crossing reaches 0.22 of -ln of
+        # the floor, past the 0.2 these once failed at.
+        ({"pd_threshold": "1e-100"}, 300),
+        ({"pfa": "0.4", "pd_threshold": "1e-50"}, 555),
+        # The last count read, 1500, is past the crossing, and PD there
+        # underflows to 0: its -ln once raised a math domain error.
+        ({"pfa": "1e-12", "radius_ratio": "1000", "pd_threshold": "1e-300"}, 1479),
     ],
 )
 def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
@@ -340,6 +351,28 @@ def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
     assert f"up to the crossing at {crossing};" in row.detail
     assert row.measured < 0.0
     assert calls <= 60
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"pd_threshold": "1e-100"}, {"pfa": "0.4", "pd_threshold": "1e-50"}]
+)
+def test_joint_pd_shape_still_fails_a_3_db_joint_pd_defect(
+    overrides: dict[str, str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Half the SNR in the joint PD the row reads, against the solver's
+    # crossing: PD has fallen most of the way to the floor by half the count
+    # (0.9745 against 0.95 at the reference).
+    real = uavcap.validation.joint_pd
+    monkeypatch.setattr(
+        uavcap.validation, "joint_pd", lambda snr, count, pfa: real(snr / 2.0, count, pfa)
+    )
+    [row] = _joint_pd_slow_then_sharp(parse_config("", overrides))
+    assert row.status == "fail"
+
+
+def test_joint_pd_shape_passes_at_a_deep_floor_from_the_command_line(capsys) -> None:
+    assert main(["validate", "--trials", "0", "--set", "pd_threshold=1e-100"]) == 0
+    assert ",fail," not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pd_threshold", ["0.05", "0.1", "0.2", "0.3", "0.5"])
@@ -575,6 +608,89 @@ def test_detection_rows_do_not_move_with_cpi_symbols(capsys) -> None:
     assert len(rows[0]) == 2
     assert rows[1] == rows[0]
     assert rows[2] == rows[0]
+
+
+SE_GROUPS = (_snr_checks, _detection_checks, _integration_checks)
+SE_ROWS = [name for group in SE_GROUPS for name in group.names]
+
+
+def _se_row_at(name: str, scale: float, monkeypatch: pytest.MonkeyPatch) -> CheckResult:
+    """The row `name` at the reference with every estimate on its
+    expectation, and 3 SE at `scale` times the row's bound."""
+    config = parse_config("")
+    if name.startswith("mean_snr"):
+        # 3 SE in dB = 3 * (CI half-width in dB) / z, against 3 dB.
+        def mean_snr(link, region, plan):
+            mean = mean_single_uav_snr(link, region, "normalized")
+            half_width_db = CONFIDENCE_Z * scale
+            return EmpiricalEstimate(mean, mean * (10.0 ** (half_width_db / 10.0) - 1.0), 1)
+
+        monkeypatch.setattr(uavcap.validation, "mc_mean_snr", mean_snr)
+    elif name.startswith("detection"):
+        # The binomial SE is set by the trial count: the first count at
+        # which 3 SE is within 0.05 passes, the one below is inconclusive.
+        monkeypatch.setattr(
+            uavcap.validation, "mc_detection_rates",
+            lambda snr, pfa, n, plan: (
+                EmpiricalEstimate(uavcap.validation.pd_single(snr, pfa), 0.0, 1),
+                EmpiricalEstimate(pfa, 0.0, 1),
+            ),
+        )
+        p = {r.name: r for r in _detection_checks(config)}[name].expected
+        first = next(n for n in range(1, 10**4) if 3.0 * math.sqrt(p * (1.0 - p) / n) <= 0.05)
+        config = replace(config, trials=first if scale < 1.0 else first - 1)
+    else:
+        # Energy rows: 3 SE against 10 % of the expectation. The slope: each
+        # ln SNR_i has relative SE s, so the slope's SE is s / |ln N - mean|.
+        logs = np.log([1, 3, 8])
+        slope_s = scale * 0.05 * float(np.linalg.norm(logs - logs.mean())) / 3.0
+
+        def energy(link, amplitude, plan, salt):
+            n = link.cpi_symbols
+            signal = link.gain_amplitude * math.sqrt(
+                link.tx_power_mw / link.uavs_per_symbol
+            ) * amplitude
+            expected = n * n * signal**2 + n * link.noise_power_mw
+            if name == "integration_snr_slope":
+                se = slope_s * (expected - n * link.noise_power_mw)
+            else:
+                se = (scale if name.endswith(f"n{n}") else 0.5) * 0.1 * expected / 3.0
+            return EmpiricalEstimate(expected, CONFIDENCE_Z * se, 1)
+
+        monkeypatch.setattr(uavcap.validation, "mc_integration_energy", energy)
+    group = next(g for g in SE_GROUPS if name in g.names)
+    return {r.name: r for r in group(config)}[name]
+
+
+@pytest.mark.parametrize("name", SE_ROWS)
+def test_each_standard_error_row_is_inconclusive_exactly_past_its_bound(
+    name: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    inside = _se_row_at(name, 1.0 - 1e-9, monkeypatch)
+    outside = _se_row_at(name, 1.0 + 1e-9, monkeypatch)
+    assert (inside.status, outside.status) == ("pass", "inconclusive")
+    assert re.fullmatch(r"inconclusive: 3 SE = \S+ > \S+", outside.detail)
+
+
+def test_every_standard_error_row_allows_4_ulps_of_its_expectation() -> None:
+    # The rule's rounding allowance: with no spread at all, a row still
+    # passes 4 ulps from its expectation and fails 5 ulps from it. Only
+    # the slope fixes its own tolerance, 0.05.
+    config = parse_config("")
+    rows = [row for group in SE_GROUPS for row in group.__wrapped__(config)]
+    assert len(rows) == len(SE_ROWS)
+    for name, row in zip(SE_ROWS, rows):
+        result = _result(name, row)
+        if name == "integration_snr_slope":
+            assert (row.tolerance, result.tolerance) == (0.05, 0.05)
+            continue
+        assert result.tolerance == 3.0 * row.se + 4.0 * math.ulp(row.expected)
+        ulp = math.ulp(row.expected)
+        verdicts = [
+            _result(name, row._replace(se=0.0, measured=row.expected + k * ulp)).status
+            for k in (-4, 4, 5)
+        ]
+        assert verdicts == ["pass", "pass", "fail"], name
 
 
 def test_every_sampled_check_without_trials_is_inconclusive() -> None:
