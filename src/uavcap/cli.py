@@ -54,7 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace):
-    text = args.config.read_text(encoding="utf-8") if args.config else ""
+    try:
+        text = args.config.read_text(encoding="utf-8") if args.config else ""
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{args.config}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     overrides: dict[str, str] = {}
     for item in args.assignments:
         key, sep, value = item.partition("=")

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .capacity import CapacityQuery
 from .detection import DetectionSpec, SURROGATE_MODES
@@ -56,16 +56,20 @@ class ScenarioConfig:
     """Fully resolved scenario; field defaults are the reference operating point.
 
     Every field is a config key, in document order; an optional key left
-    unset is None.
+    unset is None. The two class constants are not keys: they fix the echo
+    count N and beams per symbol K at which validate's mean-SNR and energy
+    oracles sample. No sweep reads them, since the capacities depend only on
+    the symbol budget split evenly across the UAVs.
     """
+
+    cpi_symbols: ClassVar[int] = 3
+    uavs_per_symbol: ClassVar[int] = 1
 
     tx_power_dbm: float = _key(58.0)
     combined_gain_db: float = _key(22.5)
     noise_power_dbm: float = _key(-94.0)  # -174 dBm/Hz over 100 MHz
     carrier_freq_mhz: float = _key(4900.0, low=0.0, low_open=True)
     rcs_m2: float = _key(0.01, low=0.0, low_open=True)
-    uavs_per_symbol: int = _key(1, low=1)
-    cpi_symbols: int = _key(3, low=1)
     radius_km: float = _key(1.0, low=0.0, low_open=True)
     radius_ratio: float = _key(10.0, low=1.0, low_open=True)
     max_elevation_rad: float = _key(

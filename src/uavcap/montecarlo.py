@@ -244,9 +244,9 @@ def mc_detection_rates(
     estimate, and every false alarm is also a detection.
 
     cpi_symbols is checked (>= 1) but not read: the estimate is the same for
-    every N. Like `workers`, it stays only because the benchmark
-    (perfbench/workloads.py and perfbench/layers.py) passes it positionally;
-    ROADMAP item 6 removes it together with the cpi_symbols key.
+    every N. The config key of that name is gone; like `workers`, the
+    argument stays only because the benchmark (perfbench/workloads.py and
+    perfbench/layers.py) passes it positionally.
     """
     import numpy as np
 

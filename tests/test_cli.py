@@ -78,7 +78,10 @@ def test_bad_usage_exits_2(tmp_path: Path, capsys) -> None:
     assert "uavcap:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["workers", "noise_density_dbm_hz", "bandwidth_mhz"])
+@pytest.mark.parametrize(
+    "key",
+    ["workers", "noise_density_dbm_hz", "bandwidth_mhz", "cpi_symbols", "uavs_per_symbol"],
+)
 def test_a_removed_key_is_an_unknown_key(key: str, tmp_path: Path, capsys) -> None:
     assert main(["snr-vs-uavs", "--set", f"{key}=2"]) == 2
     captured = capsys.readouterr()
@@ -87,6 +90,15 @@ def test_a_removed_key_is_an_unknown_key(key: str, tmp_path: Path, capsys) -> No
     scenario.write_text(f"{key} = 2\n", encoding="utf-8")
     assert main(["validate", "--config", str(scenario)]) == 2
     assert capsys.readouterr().err == f"uavcap: line 1: unknown key '{key}'\n"
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path: Path, capsys) -> None:
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_bytes(b"pfa = 0.1\n\xff\n")
+    assert main(["pd-vs-uavs", "--config", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"uavcap: {scenario}: not UTF-8 text (byte 10: invalid start byte)\n"
 
 
 def test_the_retired_confidence_key_is_an_unknown_key(tmp_path: Path, capsys) -> None:

@@ -22,16 +22,14 @@ from uavcap.validation import render_validation_csv
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The `#` echo of the reference config, line for line, as the first
-# release printed it less the retired `confidence` line; golden CSV digests
-# skip `#` lines, so this pins it.
+# release printed it less the retired `confidence`, `uavs_per_symbol` and
+# `cpi_symbols` lines; golden CSV digests skip `#` lines, so this pins it.
 REFERENCE_ECHO = """\
 # tx_power_dbm = 58.0
 # combined_gain_db = 22.5
 # noise_power_dbm = -94.0
 # carrier_freq_mhz = 4900.0
 # rcs_m2 = 0.01
-# uavs_per_symbol = 1
-# cpi_symbols = 3
 # radius_km = 1.0
 # radius_ratio = 10.0
 # max_elevation_rad = 0.6283185307179586
@@ -239,13 +237,15 @@ def test_readme_configuration_table_lists_exactly_the_keys() -> None:
     table = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| `")]
     documented = [key for line in table for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert sorted(documented) == sorted(_KEYS)
-    assert len(documented) == len(set(documented)) == 22
+    assert len(documented) == len(set(documented)) == 20
 
 
 def test_every_field_is_a_config_key() -> None:
     names = [f.name for f in fields(ScenarioConfig)]
     assert names == list(_KEYS)
-    assert len(names) == 22
+    assert len(names) == 20
+    # validate's oracle point, N echoes and K beams per symbol, is not a key.
+    assert (ScenarioConfig.cpi_symbols, ScenarioConfig.uavs_per_symbol) == (3, 1)
 
 
 def test_readme_library_section_names_only_exported_names() -> None:

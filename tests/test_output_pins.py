@@ -12,9 +12,9 @@ from uavcap.cli import main
 
 _SETS = {
     "reference": (),
-    "k4_unnormalized": ("uavs_per_symbol=4", "snr_mode=unnormalized"),
+    "unnormalized_f4": ("snr_mode=unnormalized", "frames=4"),
     "fixed_pfa01": ("surrogate_mode=fixed", "pfa=0.01"),
-    "expanded_n8": ("surrogate_mode=expanded", "cpi_symbols=8"),
+    "expanded_r1000": ("surrogate_mode=expanded", "radius_ratio=1000"),
 }
 
 # (override set, command) -> (exit code, sha256 of stdout) at --seed 7 --trials 20000.
@@ -22,35 +22,36 @@ _SETS = {
 # rows from the energy kernel's one complex normal per trial (new cells of the
 # integration_energy_n3/n8 and integration_snr_slope rows) and the mean-SNR
 # rows' 3 SE tolerance without a 0.1 dB floor (new tolerance cells). Every
-# header lost its `# confidence = 0.99` line when that key was retired. The
-# k4_unnormalized validate row's inconclusive slope detail reads the one
-# standard-error template, `3 SE = 0.055 > 0.05`.
+# header lost its `# confidence = 0.99` line when that key was retired, and
+# its `# uavs_per_symbol = 1` and `# cpi_symbols = 3` lines when those were.
+# The fixed_pfa01 validate row's fixed-variant gap reads 3 UAVs since the
+# surrogate grid pins pfa to the reference (it read 5 at pfa = 0.01).
 _PINS = {
-    ("reference", "snr-vs-uavs"): (0, "9816fc11fc478c0478bd9914fcf4958edf38b0e384989957126e397597fced59"),
-    ("reference", "pd-vs-uavs"): (0, "611c8704cbc0bbd945cca3ccde04ca2100cbb88cfc3da942034d9e3f4acf62c5"),
-    ("reference", "capacity-vs-radius"): (0, "3fd79443db4023ef034a0e132d124e1d4eba26d14cce3bcf02691cd98a94cd3c"),
-    ("reference", "capacity-vs-frames"): (0, "2d4b098310475dc393dbc493372b3d2de02e7741d3726da28ab42f886f840cf7"),
-    ("reference", "capacity-vs-power"): (0, "8d23b2eec574c40d517f2e0efe7b9a0fa4e2702b22af72308b6b520a306df236"),
-    ("reference", "validate"): (0, "3464960b5972d361f8ae4f1a51e548bbcd8e8c6fab94261dd0a7deebdc4c6e56"),
-    ("k4_unnormalized", "snr-vs-uavs"): (0, "b98a49a08125690b84d8d7bef1d2704f10b6c27267553693099f0a3a95710f3e"),
-    ("k4_unnormalized", "pd-vs-uavs"): (0, "b9a54de3f58330cf103fd56d3de712ecf801ca95f0d611872795f828703373db"),
-    ("k4_unnormalized", "capacity-vs-radius"): (0, "6d9e78da28fa0637a3bf143841003465efde2e11e9babdc0bceec52f9d8d6397"),
-    ("k4_unnormalized", "capacity-vs-frames"): (0, "e256cd605160197eb6558c9759c9b21b080a469808d0a8e7bc6a01fc99fcfa49"),
-    ("k4_unnormalized", "capacity-vs-power"): (0, "b1e5453df2e419856ea24efca491b19b3bdf15159c77274054c256f70de72455"),
-    ("k4_unnormalized", "validate"): (0, "5e6297089d58d574a34598b58c3fe1d962e49e4e76a296818274471b9ee860f3"),
-    ("fixed_pfa01", "snr-vs-uavs"): (0, "ae4a5d112bab725b64a3c1d6d303b54013375024becd1ec6508aa4a420ce7064"),
-    ("fixed_pfa01", "pd-vs-uavs"): (0, "7d8368cd01656a787abaf26574fa83d26659b545bb0f9955ebb9300b3f1a96e7"),
+    ("reference", "snr-vs-uavs"): (0, "acc717ed51068371106a858a7a2230e33233dec85994ae76a023619dde9074ed"),
+    ("reference", "pd-vs-uavs"): (0, "51399ffb24ed95d35c20a8dcf18006c2a9c66f61a1dc19da04d64d01ebaa0496"),
+    ("reference", "capacity-vs-radius"): (0, "0df31e37ef5a546a1abcd65bbd4bdf6c1d8892096f8cafa0d1e9fdfc66f247b0"),
+    ("reference", "capacity-vs-frames"): (0, "26eae9028ca77248a9380dd40958769fdfe547840e07fdb14ba714287069a651"),
+    ("reference", "capacity-vs-power"): (0, "a21fd10d5390023c7c0a5afe7ae217a34c61b2ff9cf3cbecb1a0812f940934a5"),
+    ("reference", "validate"): (0, "4a640fc6acf3a0debc8262140d5f3327788a6c04a2666da39067ab5672695315"),
+    ("unnormalized_f4", "snr-vs-uavs"): (0, "1fc104acbd38e8729468e72446a4e88e148acd73e483d597058900949e7e4760"),
+    ("unnormalized_f4", "pd-vs-uavs"): (0, "c2a0356a29a5759715882bdc75b22f5264161945b822015cc29de3613f57901e"),
+    ("unnormalized_f4", "capacity-vs-radius"): (0, "8400eae16e25b22d532a62d1126579f5aaed5ec87a9bf495646c3a6d7fb41e6a"),
+    ("unnormalized_f4", "capacity-vs-frames"): (0, "e8d9c9a78c4fa52cf80a2db0f56b79668ba184d8532d7ead0834c42ccedf014e"),
+    ("unnormalized_f4", "capacity-vs-power"): (0, "5f87ce3df75e974578dabf13625d63fc08603395f399b2a2e7b0f843fd3d1e1b"),
+    ("unnormalized_f4", "validate"): (0, "2579f981b30a529c70f35deaefb8246db871c8f1777809842bf8867358affb3b"),
+    ("fixed_pfa01", "snr-vs-uavs"): (0, "e4509ceeaf9dc6e7f3216488d499e2f19beefb80358b408b6559577727295221"),
+    ("fixed_pfa01", "pd-vs-uavs"): (0, "4cd3fd439ef5da076a972d39f1ce26b0f3c7cade00a8e2fbf70b97b7382feacd"),
     # At 2 km the fixed surrogate leaves its window, so pd_capacity is the exact 2, not 1.
-    ("fixed_pfa01", "capacity-vs-radius"): (0, "a08e425ea0f8d2f4557403d0005ba86c14de90d9e36dd59a4a76d91daf71c87d"),
-    ("fixed_pfa01", "capacity-vs-frames"): (0, "97545385092b7a587b002117d1ccc2b1d2156cda02984ad5f99ec36453e05383"),
-    ("fixed_pfa01", "capacity-vs-power"): (0, "0f3ad5131e6b979272645f85318ec741aef70a9acc413f55fd4eebac804c1409"),
-    ("fixed_pfa01", "validate"): (0, "0faffb4dc05ceb3469965937f73b7c4367c28edb2889cf7bca3ee2fb47638a2a"),
-    ("expanded_n8", "snr-vs-uavs"): (0, "4e03cfe3f8ada10dca9a4e71c3f0688c92eeb57e9b08336bf912580ebd98dfee"),
-    ("expanded_n8", "pd-vs-uavs"): (0, "11b4ca631f850677fc1446dce638e0a2dac9da3794f324f39a67f1e7eaa08c5d"),
-    ("expanded_n8", "capacity-vs-radius"): (0, "4e930dea0e18aca95335745285eb25b8fcd10f25d028b32ad272f1298ebd3d0b"),
-    ("expanded_n8", "capacity-vs-frames"): (0, "7c78abfaae49541a88558214936ed508cff9e0cbf5a7ceee9a9a76744c50b402"),
-    ("expanded_n8", "capacity-vs-power"): (0, "288b3345de832f743b586c6908d81d87c78ab9f45dd79b3a67014d7289ed686d"),
-    ("expanded_n8", "validate"): (0, "e3fb7b359860f9c4019e5fde2114134b7a3469d0a7c541b403d763462e146d4c"),
+    ("fixed_pfa01", "capacity-vs-radius"): (0, "69104646f4951bcfc7ed263692fe962454d9027b2b7802d8dc32fe749ee8f7af"),
+    ("fixed_pfa01", "capacity-vs-frames"): (0, "cd5fec1af44beb050115f9d487adb885874db0c33a3ce2aa19fdab3834d94523"),
+    ("fixed_pfa01", "capacity-vs-power"): (0, "d625aef0af4b574edee64474e8659f2fb58b52a644107974f3c3eb26f76b4407"),
+    ("fixed_pfa01", "validate"): (0, "8161cef77ef097a65c9691b5c5395715dbce1f72854106a3138ac2789509f52c"),
+    ("expanded_r1000", "snr-vs-uavs"): (0, "5a3d8ac400ceb85832f338d5bd0fdd8d9a8a41f3a123553c63acaedaa561b5d2"),
+    ("expanded_r1000", "pd-vs-uavs"): (0, "68fda4e6bb8682324a66346dd23161b36c021dde2654c14ab5620ad1a330fe73"),
+    ("expanded_r1000", "capacity-vs-radius"): (0, "c77cb6a9883ad333a7d7a4892e21636836c3fd130cd0186773f8363fff69a884"),
+    ("expanded_r1000", "capacity-vs-frames"): (0, "0c5d6b3245d8a6fde89d1425afb92481eae0a36d156c02205e59c1a846bff1cf"),
+    ("expanded_r1000", "capacity-vs-power"): (0, "015694aa79a9dcc9dc4bcf3e839ce2b6ad9f0d09eafddded4e9106cd8ff79698"),
+    ("expanded_r1000", "validate"): (0, "a697a4b50aa5555e079095f90184a509fb75d8d37d3fdc847aefe5b65b3413d9"),
 }
 
 

@@ -182,20 +182,6 @@ def test_csv_schema_and_determinism(kind: str) -> None:
     assert "\r" not in text
 
 
-@pytest.mark.parametrize("kind", SWEEP_KINDS)
-def test_sweeps_ignore_cpi_symbols_and_uavs_per_symbol(kind: str) -> None:
-    # N and K set only validate's operating points: every row of every
-    # sweep, the Monte Carlo columns included, is the reference's.
-    def body(document: str) -> list[str]:
-        config = parse_config(document)
-        text = render_sweep_csv(kind, config, run_sweep(kind, config))
-        return [line for line in text.splitlines() if not line.startswith("#")]
-
-    reference = body("trials = 2000\n")
-    assert body("trials = 2000\ncpi_symbols = 7\nuavs_per_symbol = 4\n") == reference
-    assert all(line.endswith(",ok") for line in reference[1:])
-
-
 def test_csv_error_row_rendering() -> None:
     config = parse_config("sweep_start = 0\nsweep_stop = 0.5\nsweep_step = 0.5\n")
     text = render_sweep_csv(
