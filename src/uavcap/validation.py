@@ -27,7 +27,12 @@ import math
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, NamedTuple
 
-from .capacity import capacity_under_pd_bisect, capacity_under_pd_scan, mean_snr_at
+from .capacity import (
+    _log_pd_floor,
+    capacity_under_pd_bisect,
+    capacity_under_pd_scan,
+    mean_snr_at,
+)
 from .config import ScenarioConfig, render_csv
 from .detection import SURROGATE_MODES, joint_pd, pd_single, q, q_exp_approx, q_inv
 from .geometry import (
@@ -415,24 +420,16 @@ def _solver_agreement_check(config: ScenarioConfig) -> list[_Row]:
 
 @_check("surrogate_capacity_gap")
 def _surrogate_capacity_check(config: ScenarioConfig) -> list[_Row]:
-    # The grid is a neighborhood of the reference point, so radius_ratio and
-    # pfa are pinned to their defaults (the class attributes) like the other
-    # swept keys. A larger ratio shrinks the inner radius and lifts the
-    # capacity into the thousands, where the expanded surrogate sits at the
-    # edge of its window and an absolute 1-UAV bound no longer measures its
-    # quality. A pfa near 0.5 widens the expanded surrogate's gap on this grid
-    # to 2-4 UAVs (pfa 0.3 to 0.49).
+    # The grid is a neighborhood of the reference point: every key it does
+    # not sweep keeps its default, whatever the caller's config says.
     worst_expanded = 0
     worst_fixed = 0
     for radius in (0.9, 1.05, 1.2):
         for power in (56.0, 58.0):
             for floor in (0.9, 0.95, 0.99):
                 for mode in DENSITY_MODES:
-                    scenario = replace(
-                        config,
+                    scenario = ScenarioConfig(
                         radius_km=radius,
-                        radius_ratio=ScenarioConfig.radius_ratio,
-                        pfa=ScenarioConfig.pfa,
                         tx_power_dbm=power,
                         pd_threshold=floor,
                         frames=1,
@@ -523,61 +520,43 @@ def _capacity_frames_checks(config: ScenarioConfig) -> list[_Row]:
 
 @_check("joint_pd_slow_then_sharp")
 def _joint_pd_slow_then_sharp(config: ScenarioConfig) -> list[_Row]:
-    # Joint PD vs count: flat near 1, then a sharp drop up to the first
-    # count below the floor (the crossing, from the exact solver). It is
-    # read at multiples of step up to there: at most 60 counts.
+    # -ln joint PD is L m(L), with m = -ln PD of one target rising in L. It
+    # is 0 at count 0 and convex, so the joint PD stays above the chord
+    # PD(crossing)^(L/crossing), then falls at least geometrically. It is
+    # read at count 0 and at multiples of step up to the first count below
+    # the floor (the crossing, from the exact solver): at most 60 counts. A
+    # PD rounded to a double moves its -ln by up to ulp(1), so a second
+    # difference may dip 4 ulps below 0.
     query = replace(config.query(), surrogate_mode="exact")
-    crossing = capacity_under_pd_bisect(query).max_uavs + 1
+    capacity = capacity_under_pd_bisect(query).max_uavs
+    crossing = capacity + 1
     step = -(-crossing // 60)
     mean_one = mean_snr_at(query, 1)
-    pds = [
-        joint_pd(mean_one / c, c, config.pfa)
-        for c in range(step, crossing + step, step)
+
+    def pd(count: int) -> float:
+        return joint_pd(mean_one / count, count, config.pfa)
+
+    # PD at or past the crossing can underflow to 0.
+    logs = [0.0] + [
+        -math.log(p) if p > 0.0 else math.inf
+        for p in map(pd, range(step, crossing + step, step))
     ]
-    if len(pds) < 3:
-        # Fewer than three counts up to the crossing: no second difference.
-        return [
-            _Row(
-                detail=f"joint PD is below the floor from count {crossing} on: "
-                "too few counts before the crossing for a second difference "
-                "(vacuous pass)",
-                ok=True,
-            )
-        ]
-    bend = [pds[i + 1] - 2.0 * pds[i] + pds[i - 1] for i in range(1, len(pds) - 1)]
-    # The shape is -ln PD = L m(L), convex in the count L; PD = exp(-L m(L))
-    # itself bends back below 1/e, so under such a floor PD's second
-    # differences turn positive on a sound curve. Where PD saturates at 1.0
-    # in float64 the log's second differences are exact zeros, elsewhere at
-    # most rounding below 0. The drop is sharp if PD bends harder than the
-    # parabola from 1 at count 0 to the floor at the crossing, a bound free
-    # of the curve's scale. One second difference (crossing 3) is too few
-    # to tell a sharp drop: sound curves bend up there, so only convexity
-    # and the half-count bound are read.
-    # PD at the last count read, past the crossing, can underflow to 0.
-    logs = [-math.log(p) if p > 0.0 else math.inf for p in pds]
-    convex = all(
-        logs[i + 1] - 2.0 * logs[i] + logs[i - 1] >= -1e-15 for i in range(1, len(logs) - 1)
-    )
-    parabola = -2.0 * (1.0 - config.pd_threshold) * (step / crossing) ** 2
-    # Slow first: -ln PD at half the crossing is at most 0.4 of -ln of the
-    # floor (at 0.95, PD >= 0.9797); convexity alone guarantees a half. Over
-    # floors 1e-300..0.999, pfa 1e-12..0.5 and radius_ratio >= 5 sound curves
-    # reach 0.3985, at ratio 5, pfa near 0.5 and floor 1e-300.
-    half = pds[len(pds) // 2 - 1]
-    slow = math.log(half) >= 0.4 * math.log(config.pd_threshold)
-    single = len(bend) == 1
-    sharp = single or min(bend) < parabola
+    bend = [logs[i + 1] - 2.0 * logs[i] + logs[i - 1] for i in range(1, len(logs) - 1)]
+    # The joint PD meets the solvers' floor at the capacity and misses it at
+    # the crossing, compared as doubles: exp is monotone, so a tie with the
+    # rounded floor passes both ways. At capacities of 1e30 UAVs and more
+    # both PDs can round to the floor's double. A crossing at 1 reads the
+    # miss alone.
+    floor = math.exp(_log_pd_floor(query.spec))
+    edge = (capacity < 1 or pd(capacity) >= floor) and pd(crossing) <= floor
     grid = f" every {step} counts" if step > 1 else ""
-    shape = "second differences <= 0" if max(bend) <= 1e-15 else (
-        "-ln(joint PD) second differences >= 0")
-    unbounded = "; one second difference, so no sharpness bound" if single else ""
     return [
         _Row(
-            min(bend),
-            detail=f"{shape}{grid} up to the crossing at {crossing}; "
-            f"joint PD still {half:.4f} at half the crossing count{unbounded}",
-            ok=convex and sharp and slow,
+            min(bend, default=None),
+            detail=f"-ln(joint PD) second differences >= -4 ulp(1){grid} from count 0 "
+            f"up to the crossing at {crossing}; joint PD meets the floor below the "
+            "crossing and misses it there",
+            ok=edge and all(b >= -4.0 * math.ulp(1.0) for b in bend),
         )
     ]
 

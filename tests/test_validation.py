@@ -4,9 +4,12 @@ import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import uavcap.link
@@ -281,8 +284,8 @@ TREND_CHECKS = (
         {"radius_km": "1000", "radius_ratio": "1000"},
     ],
 )
-def test_joint_pd_below_the_floor_at_one_uav_is_a_vacuous_pass(
-    overrides: dict[str, str],
+def test_a_joint_pd_crossing_at_one_uav_reads_the_floor_check_alone(
+    overrides: dict[str, str], monkeypatch: pytest.MonkeyPatch
 ) -> None:
     # The crossing is at count 1, so the curve has no second difference;
     # this once raised and took the other trend checks down with it.
@@ -293,7 +296,10 @@ def test_joint_pd_below_the_floor_at_one_uav_is_a_vacuous_pass(
     shape = rows["joint_pd_slow_then_sharp"]
     assert shape.status == "pass"
     assert shape.measured is None
-    assert "vacuous pass" in shape.detail
+    assert "up to the crossing at 1;" in shape.detail
+    # A joint PD that meets the floor at the solved crossing still fails.
+    monkeypatch.setattr(uavcap.validation, "joint_pd", lambda snr, count, pfa: 1.0)
+    assert [row.status for row in _joint_pd_slow_then_sharp(config)] == ["fail"]
 
 
 def test_a_raising_trend_check_costs_only_its_own_row(
@@ -319,12 +325,12 @@ def test_a_raising_trend_check_costs_only_its_own_row(
         # Below PD = 1/e the curve bends back, so PD's own second
         # differences turn positive; -ln PD stays convex.
         ({"pd_threshold": "0.3"}, 54),
-        # At low floors PD at half the crossing sits below 0.99 on a sound
-        # curve; the half-count bound scales with -ln of the floor.
+        # Low floors, where PD at half the crossing sits below 0.99 on a
+        # sound curve.
         ({"pd_threshold": "0.2"}, 58),
         ({"pd_threshold": "0.1"}, 62),
-        # At deep floors -ln PD at half the crossing reaches 0.22 of -ln of
-        # the floor, past the 0.2 these once failed at.
+        # Deep floors, where -ln PD at half the crossing reaches 0.22 of -ln
+        # of the floor.
         ({"pd_threshold": "1e-100"}, 300),
         ({"pfa": "0.4", "pd_threshold": "1e-50"}, 555),
         # The last count read, 1500, is past the crossing, and PD there
@@ -349,8 +355,9 @@ def test_joint_pd_shape_is_read_up_to_the_solved_crossing(
     [row] = _joint_pd_slow_then_sharp(parse_config("", overrides))
     assert row.status == "pass"
     assert f"up to the crossing at {crossing};" in row.detail
-    assert row.measured < 0.0
-    assert calls <= 60
+    assert row.measured >= -4.0 * math.ulp(1.0)
+    # At most 60 grid counts, then the capacity and the crossing.
+    assert calls <= 62
 
 
 @pytest.mark.parametrize(
@@ -370,16 +377,66 @@ def test_joint_pd_shape_still_fails_a_3_db_joint_pd_defect(
     assert row.status == "fail"
 
 
+_REAL_JOINT_PD = uavcap.validation.joint_pd
+
+
+@pytest.mark.parametrize("overrides", [{}, {"pd_threshold": "1e-100"}])
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda snr, count, pfa: _REAL_JOINT_PD(snr / 10.0**0.1, count, pfa),
+        lambda snr, count, pfa: _REAL_JOINT_PD(snr, count, 2.0 * pfa),
+        lambda snr, count, pfa: _REAL_JOINT_PD(snr, count, pfa) ** 0.5,
+    ],
+    ids=["1_db_loss", "doubled_pfa", "half_the_count"],
+)
+def test_joint_pd_shape_fails_a_joint_pd_that_misses_the_solved_crossing(
+    defect: Callable[[float, int, float], float], overrides: dict[str, str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Each defect keeps -ln joint PD convex from count 0, but moves the count
+    # where the joint PD leaves the floor off the solvers' crossing.
+    monkeypatch.setattr(uavcap.validation, "joint_pd", defect)
+    [row] = _joint_pd_slow_then_sharp(parse_config("", overrides))
+    assert row.status == "fail"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    radius_ratio=st.floats(math.log10(1.01), 100.0).map(lambda exponent: 10.0**exponent),
+    pfa=st.floats(-100.0, math.log10(0.49)).map(lambda exponent: 10.0**exponent),
+    pd_threshold=st.floats(-300.0, math.log10(0.999)).map(lambda exponent: 10.0**exponent),
+    frames=st.integers(1, 10**6),
+    combined_gain_db=st.floats(0.0, 60.0),
+)
+# Sound curves that failed a half-count bound and a parabola once held here.
+@example(2.0, 0.05, 1e-160, 1, 22.5)
+@example(10.0, 1e-100, 1e-50, 1, 22.5)
+def test_joint_pd_shape_passes_across_the_accepted_domain(
+    radius_ratio: float, pfa: float, pd_threshold: float, frames: int,
+    combined_gain_db: float,
+) -> None:
+    config = replace(
+        parse_config(""), radius_ratio=radius_ratio, pfa=pfa, pd_threshold=pd_threshold,
+        frames=frames, combined_gain_db=combined_gain_db,
+    )
+    [row] = _joint_pd_slow_then_sharp(config)
+    assert row.status == "pass", row.detail
+
+
 @pytest.mark.parametrize(
     "overrides",
-    [("pd_threshold=1e-100",), ("pfa=0.4",), ("pfa=0.4", "pd_threshold=1e-50")],
-    ids=["deep_floor", "high_pfa", "both"],
+    [
+        ("pd_threshold=1e-100",), ("pfa=0.4",), ("pfa=0.4", "pd_threshold=1e-50"),
+        ("radius_ratio=2", "pd_threshold=1e-160"), ("pfa=1e-100", "pd_threshold=1e-50"),
+    ],
+    ids=["deep_floor", "high_pfa", "both", "low_ratio_deep_floor", "low_pfa_deep_floor"],
 )
 def test_validate_passes_at_a_deep_floor_or_a_high_pfa(
     overrides: tuple[str, ...], capsys
 ) -> None:
-    # Sound builds that once failed joint_pd_slow_then_sharp (deep floors)
-    # or surrogate_capacity_gap (high pfa).
+    # Sound builds that once failed joint_pd_slow_then_sharp (deep floors,
+    # most at radius_ratio 1.5 to 2) or surrogate_capacity_gap (high pfa).
     argv = ["validate", "--trials", "0"]
     for assignment in overrides:
         argv += ["--set", assignment]
@@ -391,8 +448,8 @@ def test_validate_passes_at_a_deep_floor_or_a_high_pfa(
 def test_joint_pd_shape_with_one_second_difference_passes(
     pd_threshold: str, capsys
 ) -> None:
-    # The crossing is 3, so there is one second difference, and on these
-    # sound curves it is positive: the parabola bound cannot be read there.
+    # The crossing is 3, so PD has one second difference, and on these sound
+    # curves it is positive: a bound on PD's bend once failed them.
     argv = ["validate", "--trials", "0", "--set", "pfa=1e-6"]
     argv += ["--set", "radius_ratio=1.5", "--set", f"pd_threshold={pd_threshold}"]
     assert main(argv) == 0
@@ -402,21 +459,19 @@ def test_joint_pd_shape_with_one_second_difference_passes(
     ]
     assert row.startswith("joint_pd_slow_then_sharp,pass,")
     assert "up to the crossing at 3;" in row
-    assert row.endswith('; one second difference, so no sharpness bound"')
 
 
 @pytest.mark.parametrize(
     "curve",
     [
-        (0.999, 0.5, 0.45),  # -ln PD concave
-        (0.6, 0.55, 0.01),  # already at 0.6 at half the crossing
+        (0.999, 0.5, 0.45),  # -ln PD concave over counts 1 to 3
+        (0.6, 0.55, 0.01),  # convex over counts 1 to 3, not from count 0
     ],
 )
-def test_joint_pd_shape_with_one_second_difference_keeps_its_other_bounds(
+def test_joint_pd_shape_fails_a_curve_not_convex_from_count_0(
     curve: tuple[float, ...], monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # At crossing 3 only the sharpness bound is skipped: a curve that is not
-    # convex in -ln PD, or not slow first, still fails.
+    # At crossing 3 the grid is counts 0 to 3, with -ln PD = 0 at count 0.
     pds = dict(zip((1, 2, 3), curve))
     monkeypatch.setattr(uavcap.validation, "joint_pd", lambda snr, count, pfa: pds[count])
     config = parse_config(
@@ -424,6 +479,7 @@ def test_joint_pd_shape_with_one_second_difference_keeps_its_other_bounds(
     )
     [row] = _joint_pd_slow_then_sharp(config)
     assert "up to the crossing at 3;" in row.detail
+    assert row.measured < 0.0
     assert row.status == "fail"
 
 
@@ -808,13 +864,17 @@ def test_mean_snr_rows_do_not_fail_where_rounding_hides_the_spread(
 
 @pytest.mark.parametrize(
     "key, value",
-    [("radius_ratio", "1000")] + [("pfa", pfa) for pfa in ("0.3", "0.35", "0.4", "0.45", "0.49")],
+    [("radius_ratio", "1000")]
+    + [("pfa", pfa) for pfa in ("0.3", "0.35", "0.4", "0.45", "0.49")]
+    + [("combined_gain_db", "30"), ("noise_power_dbm", "-110"), ("rcs_m2", "1"),
+       ("symbols_per_frame", "100")],
 )
 def test_surrogate_capacity_gap_keeps_the_reference_neighborhood(key: str, value: str) -> None:
-    # The grid is a neighborhood of the reference point, so neither key is
-    # swept. At radius_ratio = 1000 the grid's capacities reach the
-    # thousands and the expanded surrogate once missed by 77 UAVs; at these
-    # pfa values it missed by 2 to 4 UAVs, on a sound build.
+    # The grid is a neighborhood of the reference point, so no key it does
+    # not sweep reaches it. At radius_ratio = 1000 the grid's capacities
+    # reach the thousands and the expanded surrogate once missed by 77 UAVs;
+    # at these pfa values it missed by 2 to 4 UAVs, and under these link
+    # budgets by 8 to 75, on a sound build.
     reference = _surrogate_capacity_check(parse_config(""))
     moved = _surrogate_capacity_check(parse_config("", {key: value}))
     assert moved == reference
