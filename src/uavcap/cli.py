@@ -60,6 +60,9 @@ def _resolve_config(args: argparse.Namespace):
         raise ConfigError(
             f"{args.config}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+    # Some editors save a byte-order mark. It is dropped after decoding, so
+    # a decode error names the byte's offset in the file.
+    text = text.removeprefix("\ufeff")
     overrides: dict[str, str] = {}
     for item in args.assignments:
         key, sep, value = item.partition("=")

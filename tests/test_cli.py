@@ -101,6 +101,27 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path: Path, capsys
     assert captured.err == f"uavcap: {scenario}: not UTF-8 text (byte 10: invalid start byte)\n"
 
 
+def test_a_config_file_with_a_byte_order_mark_parses_as_without_it(
+    tmp_path: Path, capsys
+) -> None:
+    # Once the mark stayed on the first key: "unknown key '\ufeffradius_km'".
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        scenario = tmp_path / f"{name}.cfg"
+        scenario.write_bytes(bom + b"radius_km = 2\n")
+        out = tmp_path / f"{name}.csv"
+        assert main(["pd-vs-uavs", "--config", str(scenario), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"# radius_km = 2.0\n" in outputs[0]
+    # A decode error still counts the mark's three bytes.
+    scenario.write_bytes(b"\xef\xbb\xbfpfa = 0.1\n\xff\n")
+    assert main(["pd-vs-uavs", "--config", str(scenario)]) == 2
+    assert capsys.readouterr().err == (
+        f"uavcap: {scenario}: not UTF-8 text (byte 13: invalid start byte)\n"
+    )
+
+
 def test_the_retired_confidence_key_is_an_unknown_key(tmp_path: Path, capsys) -> None:
     # Every Monte Carlo interval is drawn at one level; no key sets it.
     assert main(["snr-vs-uavs", "--set", "confidence=0.95"]) == 2

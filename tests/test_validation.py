@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import re
 import warnings
@@ -16,7 +17,8 @@ import uavcap.link
 import uavcap.sweeps
 import uavcap.validation
 from uavcap.cli import main
-from uavcap.config import parse_config
+from uavcap.capacity import capacity_under_pd_bisect, capacity_under_pd_scan
+from uavcap.config import ScenarioConfig, parse_config
 from uavcap.geometry import Position, position_pdf, sample_positions
 from uavcap.link import mean_single_uav_snr
 from uavcap.montecarlo import CONFIDENCE_Z, TAG_POSITIONS, EmpiricalEstimate, substream
@@ -429,14 +431,19 @@ def test_joint_pd_shape_passes_across_the_accepted_domain(
     [
         ("pd_threshold=1e-100",), ("pfa=0.4",), ("pfa=0.4", "pd_threshold=1e-50"),
         ("radius_ratio=2", "pd_threshold=1e-160"), ("pfa=1e-100", "pd_threshold=1e-50"),
+        ("combined_gain_db=300",),
     ],
-    ids=["deep_floor", "high_pfa", "both", "low_ratio_deep_floor", "low_pfa_deep_floor"],
+    ids=[
+        "deep_floor", "high_pfa", "both", "low_ratio_deep_floor", "low_pfa_deep_floor",
+        "high_gain",
+    ],
 )
 def test_validate_passes_at_a_deep_floor_or_a_high_pfa(
     overrides: tuple[str, ...], capsys
 ) -> None:
     # Sound builds that once failed joint_pd_slow_then_sharp (deep floors,
     # most at radius_ratio 1.5 to 2) or surrogate_capacity_gap (high pfa).
+    # At 300 dB every agreement scan once stopped at its cap.
     argv = ["validate", "--trials", "0"]
     for assignment in overrides:
         argv += ["--set", assignment]
@@ -540,6 +547,20 @@ def test_frame_trend_rows_read_the_capacity_vs_frames_sweep(
     monkeypatch.setattr(uavcap.sweeps, "_capacity_row", ignores_point)
     row, _ = _capacity_frames_checks(config)
     assert row.status == "fail"
+
+
+def test_validate_fails_the_fixed_surrogates_falling_frame_capacity(capsys) -> None:
+    # An open fault of surrogate_mode=fixed: its out-of-window fallback
+    # makes capacity-vs-frames print pd_capacity 5 at 5 frames and 4 at 6.
+    # The frame trend row catches it, and no other row fails.
+    argv = ["validate", "--trials", "0"]
+    for assignment in ("surrogate_mode=fixed", "pfa=1e-5", "radius_km=2"):
+        argv += ["--set", assignment]
+    assert main(argv) == 1
+    rows = csv.DictReader(
+        line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")
+    )
+    assert [r["check"] for r in rows if r["status"] == "fail"] == ["pd_capacity_frames_monotone"]
 
 
 def test_validate_reads_each_trend_sweep_once(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -784,46 +805,31 @@ def test_sampler_checks_that_cannot_fail_are_inconclusive(
     assert all((r.tolerance >= 1.0) == inconclusive for r in rows)
 
 
-def _capped_scan(cap: int):
-    real = uavcap.validation.capacity_under_pd_scan
-    return lambda query: real(query, cap)
-
-
-def test_solver_agreement_reads_a_capped_scan_as_a_lower_bound(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    # At `--set combined_gain_db=300` every scan stopped at its 1e6 cap and
-    # each bisection result above it counted as a mismatch: 50 of 50. Here
-    # a cap of 100 stops the scan on 15 of the 50 reference scenarios.
+def test_solver_agreement_fails_a_scan_stopped_short(monkeypatch: pytest.MonkeyPatch) -> None:
+    # No drawn scan reaches its cap, so a scan stopped early is a mismatch
+    # like any other: a cap of 100 stops it on 15 of the 50 reference
+    # scenarios, short of capacities up to 2706.
     config = parse_config("")
     [row] = _solver_agreement_check(config)
     assert row.detail == "50 random scenarios, worst gap 0 UAVs"
-    monkeypatch.setattr(uavcap.validation, "capacity_under_pd_scan", _capped_scan(100))
-    [row] = _solver_agreement_check(config)
-    assert (row.status, row.measured) == ("pass", 0.0)
-    assert row.detail.endswith("; 15 capped scans read as lower bounds")
-
-
-def test_solver_agreement_still_fails_a_bisection_below_a_capped_scan(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    real = uavcap.validation.capacity_under_pd_bisect
-    monkeypatch.setattr(uavcap.validation, "capacity_under_pd_scan", _capped_scan(100))
+    real = uavcap.validation.capacity_under_pd_scan
     monkeypatch.setattr(
-        uavcap.validation, "capacity_under_pd_bisect",
-        lambda query: replace(real(query), max_uavs=min(real(query).max_uavs, 99)),
+        uavcap.validation, "capacity_under_pd_scan", lambda query: real(query, 100)
     )
-    [row] = _solver_agreement_check(parse_config(""))
+    [row] = _solver_agreement_check(config)
     assert (row.status, row.measured) == ("fail", 15.0)
-    assert "worst gap 1 UAVs" in row.detail
+    assert row.detail == "50 random scenarios, worst gap 2606 UAVs"
 
 
 @pytest.mark.parametrize("offset", [1, -1])
+@pytest.mark.parametrize("gain_db", ["22.5", "60", "300"])
 def test_solver_agreement_fails_a_bisection_one_count_off_the_scan(
-    offset: int, monkeypatch: pytest.MonkeyPatch
+    gain_db: str, offset: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # No reference scan reaches its cap, so a count one off on either side
-    # is a mismatch in every scenario.
+    # No scan reaches its cap, so a count one off on either side is a
+    # mismatch in every scenario. The scenarios once took the caller's gain:
+    # from 60 dB every scan stopped at its cap and was read as a lower
+    # bound, and both planted counts passed.
     real = uavcap.validation.capacity_under_pd_bisect
 
     def off_by_one(query):
@@ -831,19 +837,49 @@ def test_solver_agreement_fails_a_bisection_one_count_off_the_scan(
         return replace(result, max_uavs=result.max_uavs + offset)
 
     monkeypatch.setattr(uavcap.validation, "capacity_under_pd_bisect", off_by_one)
-    [row] = _solver_agreement_check(parse_config(""))
+    [row] = _solver_agreement_check(parse_config("", {"combined_gain_db": gain_db}))
     assert (row.status, row.measured) == ("fail", 50.0)
     assert row.detail == "50 random scenarios, worst gap 1 UAVs"
 
 
-def test_solver_agreement_draws_python_floats() -> None:
-    # numpy scalars once carried a divide by zero into the solvers as inf,
-    # with a RuntimeWarning on stderr; Python floats raise instead.
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("combined_gain_db", gain) for gain in ("30", "40", "60", "300")]
+    + [("noise_power_dbm", "-110"), ("rcs_m2", "1"), ("symbols_per_frame", "100"),
+       ("carrier_freq_mhz", "1e-300")],
+)
+def test_solver_agreement_reads_only_the_seed(key: str, value: str, seed: str) -> None:
+    # The scenarios are drawn about the reference point, so no other key
+    # reaches them. At 40 dB 7 of the 50 scans once stopped at their cap,
+    # and at 60 and 300 dB all 50; the 1e-300 carrier raised.
+    reference = _solver_agreement_check(parse_config("", {"seed": seed}))
+    moved = _solver_agreement_check(parse_config("", {"seed": seed, key: value}))
+    assert moved == reference
+    assert [r.status for r in moved] == ["pass"]
+
+
+def test_solver_agreement_passes_at_a_vanishing_carrier_without_a_warning() -> None:
+    # The 1e-300 carrier once reached the scenarios: numpy scalars carried
+    # its divide by zero into the solvers as inf, with a RuntimeWarning on
+    # stderr, and later Python floats raised it as a failing row.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [row] = _solver_agreement_check(parse_config("", {"carrier_freq_mhz": "1e-300"}))
-    assert row.status == "fail"
-    assert row.detail.startswith("ZeroDivisionError: ")
+    assert row.status == "pass"
+
+
+def test_solver_agreement_domain_corner_stays_below_the_scan_cap() -> None:
+    # Capacity falls with radius and floor and rises with ratio, power, pfa
+    # and frames; the normalized density ignores elevation and the
+    # unnormalized one scales SNR by sin(elevation) <= 1. So the drawn
+    # domain's corner bounds every scenario of the row.
+    corner = ScenarioConfig(
+        radius_km=0.5, radius_ratio=20.0, tx_power_dbm=60.0, pd_threshold=0.8,
+        pfa=0.2, frames=10,
+    ).query()
+    cap = inspect.signature(capacity_under_pd_scan).parameters["cap"].default
+    assert capacity_under_pd_bisect(corner).max_uavs == 15_314 < cap
 
 
 @pytest.mark.parametrize(
